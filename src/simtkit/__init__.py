@@ -6,7 +6,6 @@ from .core import (
     ConfigError,
     CorpusError,
     CapacityError,
-    Decision,
     Distribution,
     ModelFileError,
     NumericError,
@@ -57,7 +56,6 @@ from .training import (
     p2f_loss,
     sample_alpha,
     sample_prefix_len,
-    total_loss_step,
     train,
 )
 

@@ -260,20 +260,6 @@ class PolicyConfig:
             raise ConfigError("r_max must be >= 1 or None (unbounded)")
 
 
-@dataclass(frozen=True)
-class Decision:
-    kind: str  # READ or WRITE
-    token: int | None = None
-
-    def __post_init__(self):
-        if self.kind == WRITE and self.token is None:
-            raise ConfigError("WRITE decision requires a token")
-        if self.kind == READ and self.token is not None:
-            raise ConfigError("READ decision cannot carry a token")
-        if self.kind not in (READ, WRITE):
-            raise ConfigError(f"unknown decision kind {self.kind!r}")
-
-
 class StreamState:
     """Cursor state of one in-flight simultaneous decoding session.
 
@@ -308,12 +294,6 @@ class StreamState:
         self.emitted.append(token)
         self.g_record.append(self.j)
         self.r_c = 0
-
-    def apply(self, decision: Decision) -> None:
-        if decision.kind == READ:
-            self.read()
-        else:
-            self.write(decision.token)
 
 
 # ---------------------------------------------------------------------------

@@ -76,10 +76,6 @@ class MicroModel:
 
     # -- forward ----------------------------------------------------------
 
-    def _check_len(self, n: int, what: str) -> None:
-        if n > self.max_len:
-            raise CapacityError(f"{what} length {n} exceeds max_len {self.max_len}")
-
     def _encode(self, src: np.ndarray):
         p = self.params
         s = len(src)
@@ -90,26 +86,41 @@ class MicroModel:
             allowed = np.ones((s, s), dtype=bool)
         return _attn_forward(x0, x0, p, "enc", allowed), x0
 
-    def _forward(self, src_ids, tgt_in_ids, cross_limits: np.ndarray):
-        """Logits over the vocabulary at every decoder position.
+    def _forward(self, source, target, limits="full"):
+        """Logits at every row of the decoder input BOS + ``target``, plus
+        the cache for the backward pass.
 
-        cross_limits[i] = number of leading source positions decoder row i
-        may attend to (must be >= 1).
+        This is the one place that checks a query. ``limits`` caps how many
+        leading source positions each decoder row may attend to: ``"full"``
+        (the whole source), one integer for every row, or one integer per
+        row, each in [1, len(source)].
         """
-        src = np.asarray(src_ids, dtype=np.intp)
-        tgt_in = np.asarray(tgt_in_ids, dtype=np.intp)
-        self._check_len(len(src), "source")
-        self._check_len(len(tgt_in), "target")
-        if np.any(cross_limits < 1) or np.any(cross_limits > len(src)):
-            raise ConfigError("cross-attention limits must lie in [1, source length]")
-        p = self.params
+        src = np.asarray(tuple(source), dtype=np.intp)
+        tgt_in = np.asarray((self.vocab.bos,) + tuple(target), dtype=np.intp)
+        n, rows = len(src), len(tgt_in)
+        if n == 0:
+            raise ConfigError("source must be non-empty")
+        for what, length in (("source", n), ("target", rows)):
+            if length > self.max_len:
+                raise CapacityError(f"{what} length {length} exceeds max_len {self.max_len}")
+        if isinstance(limits, str) and limits == "full":
+            cross_limits = np.full(rows, n, dtype=np.intp)
+        else:
+            lim = np.asarray(limits)
+            if lim.dtype.kind not in "iu" or lim.shape not in ((), (rows,)):
+                raise ConfigError(
+                    f"cross-attention limit must be 'full', one integer or one integer "
+                    f"per decoder row ({rows}), got {limits!r}")
+            if lim.min() < 1 or lim.max() > n:
+                raise ConfigError(f"cross-attention limit {limits!r} outside [1, {n}]")
+            cross_limits = np.broadcast_to(lim.astype(np.intp), (rows,))
 
+        p = self.params
         (henc, cache_enc), x0 = self._encode(src)
-        tq = len(tgt_in)
-        y0 = p["embed"][tgt_in] + p["pos"][:tq]
-        causal = np.tril(np.ones((tq, tq), dtype=bool))
+        y0 = p["embed"][tgt_in] + p["pos"][:rows]
+        causal = np.tril(np.ones((rows, rows), dtype=bool))
         y1, cache_self = _attn_forward(y0, y0, p, "dec_self", causal)
-        cross_allowed = np.arange(len(src))[None, :] < cross_limits[:, None]
+        cross_allowed = np.arange(n)[None, :] < cross_limits[:, None]
         y2, cache_cross = _attn_forward(y1, henc, p, "dec_cross", cross_allowed)
         h1 = y2 @ p["ff_w1"]
         relu = np.maximum(h1, 0.0)
@@ -157,32 +168,21 @@ class MicroModel:
 
     # -- public surface ---------------------------------------------------
 
-    def next_dist(self, source_prefix, target_prefix) -> Distribution:
-        return self.forward_next(source_prefix, target_prefix, cross_limit="all")
-
-    def forward_next(self, source_prefix, target_prefix, cross_limit="all") -> Distribution:
+    def next_dist(self, source_prefix, target_prefix, cross_limit="full") -> Distribution:
         """Distribution of the next target token.
 
         The decoder input is BOS followed by ``target_prefix``; only the last
         position's prediction is returned. ``cross_limit`` caps how many
-        source positions the decoder sees (``"all"`` = the whole prefix).
+        source positions the decoder sees (``"full"`` = the whole prefix).
         """
-        src = tuple(source_prefix)
-        if not src:
-            raise ConfigError("source prefix must be non-empty")
-        limit = len(src) if cross_limit == "all" else int(cross_limit)
-        if not (1 <= limit <= len(src)):
-            raise ConfigError(f"cross_limit {cross_limit!r} outside [1, {len(src)}]")
-        tgt_in = (self.vocab.bos,) + tuple(target_prefix)
-        limits = np.full(len(tgt_in), limit, dtype=np.intp)
-        logits, _ = self._forward(src, tgt_in, limits)
+        logits, _ = self._forward(source_prefix, target_prefix, cross_limit)
         return Distribution(_softmax_row(logits[-1]))
 
     def loss_and_grads(self, batch) -> tuple[float, dict[str, np.ndarray]]:
         """Mean token NLL over a batch plus exact gradients.
 
-        Batch items are (source, target, limits) with limits either "full"
-        or a per-target-position list of cross-attention caps.
+        Batch items are (source, target, limits) with limits either "full",
+        one cross-attention cap, or a per-target-position list of caps.
         """
         if not batch:
             raise ConfigError("batch must be non-empty")
@@ -206,36 +206,26 @@ class MicroModel:
 
     def _pair_nll_and_grads(self, source, target, limits="full"):
         """Summed NLL of ``target`` given ``source`` and its exact gradients."""
-        src = tuple(source)
-        tgt = tuple(target)
-        if not src or not tgt:
-            raise ConfigError("source and target must be non-empty")
-        tgt_in = (self.vocab.bos,) + tgt[:-1]
-        if limits == "full":
-            lim = np.full(len(tgt_in), len(src), dtype=np.intp)
-        else:
-            if len(limits) != len(tgt):
-                raise ConfigError("need one cross-attention limit per target position")
-            lim = np.asarray(limits, dtype=np.intp)
-        logits, cache = self._forward(src, tgt_in, lim)
-        rows = np.arange(len(tgt))
-        nll = float(_log_softmax_nll(logits, list(tgt)).sum())
+        nlls, logits, cache = self._teacher_forced(source, target, limits)
+        tgt = list(target)
         dlogits = _softmax_rows(logits)
-        dlogits[rows, list(tgt)] -= 1.0
+        dlogits[np.arange(len(tgt)), tgt] -= 1.0
         grads = self._backward(cache, dlogits)
-        return nll, grads, len(tgt)
+        return float(nlls.sum()), grads, len(tgt)
 
     def sentence_nlls(self, source, target, limits="full") -> np.ndarray:
         """Per-position -log p(y_t | ...), forward only."""
-        src = tuple(source)
-        tgt = tuple(target)
-        tgt_in = (self.vocab.bos,) + tgt[:-1]
-        if limits == "full":
-            lim = np.full(len(tgt_in), len(src), dtype=np.intp)
-        else:
-            lim = np.asarray(limits, dtype=np.intp)
-        logits, _ = self._forward(src, tgt_in, lim)
-        return _log_softmax_nll(logits, list(tgt))
+        return self._teacher_forced(source, target, limits)[0]
+
+    def _teacher_forced(self, source, target, limits):
+        """Per-position NLLs of ``target`` given ``source``, with the logits
+        and cache of the forward pass; ``limits`` has one entry per target
+        position when it is a list."""
+        tgt = list(target)
+        if not tgt:
+            raise ConfigError("target must be non-empty")
+        logits, cache = self._forward(source, tgt[:-1], limits)
+        return _log_softmax_nll(logits, tgt), logits, cache
 
     def clone_params(self) -> dict[str, np.ndarray]:
         return {name: val.copy() for name, val in self.params.items()}

@@ -63,11 +63,11 @@ def save_model(model, path) -> None:
             "format_version": FORMAT_VERSION,
             "kind": "table",
             "vocab": _vocab_to_json(model.vocab),
-            "default": model.default.tolist(),
-            "backoff": model.backoff,
+            "default": model.default.probs.tolist(),
+            "backoff": BACKOFF_SCHEDULE,
             "entries": [
-                {"src": list(src), "tgt": list(tgt), "dist": model.entries[(src, tgt)].tolist()}
-                for src, tgt in sorted(model.entries)
+                {"src": list(src), "tgt": list(tgt), "dist": dist.probs.tolist()}
+                for (src, tgt), dist in sorted(model.entries.items())
             ],
         }
     else:
@@ -109,8 +109,9 @@ def load_model(path):
     if doc["kind"] == "table":
         if vocab is None:
             raise ModelFileError("table model file is missing its vocabulary")
+        if doc.get("backoff", BACKOFF_SCHEDULE) != BACKOFF_SCHEDULE:
+            raise ModelFileError(f"unsupported backoff schedule {doc['backoff']!r}")
         entries = {(tuple(e["src"]), tuple(e["tgt"])): np.array(e["dist"])
                    for e in doc["entries"]}
-        return TableModel(len(vocab), entries, np.array(doc["default"]),
-                          backoff=doc.get("backoff", BACKOFF_SCHEDULE), vocab=vocab)
+        return TableModel(len(vocab), entries, np.array(doc["default"]), vocab=vocab)
     raise ModelFileError(f"unknown model kind {doc['kind']!r}")

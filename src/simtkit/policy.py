@@ -340,11 +340,9 @@ class DivergenceMatrix:
     """Teacher-forced divergences: rows are reference target steps, columns
     source prefix lengths."""
     values: np.ndarray  # (T, N)
-    mask: np.ndarray    # cell validity
 
     def __post_init__(self):
-        valid = self.values[self.mask]
-        if valid.size and (np.any(valid < 0.0) or np.any(valid > 1.0)):
+        if np.any(self.values < 0.0) or np.any(self.values > 1.0):
             raise ValueError("divergence entries must lie in [0, 1]")
 
 
@@ -375,7 +373,7 @@ def divergence_matrix(
                                  full_source=pair.source, j=g)
             values[ti, g - 1] = psfuture_divergence(
                 model, pair.source[:g], tgt_prefix, suffix)
-    return DivergenceMatrix(values=values, mask=np.ones_like(values, dtype=bool))
+    return DivergenceMatrix(values=values)
 
 
 def threshold_path(matrix: DivergenceMatrix, lam: float) -> list[tuple[int, int]]:

@@ -53,31 +53,31 @@ class TableModel:
         n_vocab: int,
         entries: Mapping[Key, np.ndarray | Sequence[float]],
         default: np.ndarray | Sequence[float],
-        backoff: str = BACKOFF_SCHEDULE,
         vocab=None,
     ):
-        if backoff != BACKOFF_SCHEDULE:
-            raise ValueError(f"unsupported backoff schedule {backoff!r}")
         self.n_vocab = n_vocab
-        self.backoff = backoff
         self.vocab = vocab
         self.default = self._as_dist(default, n_vocab)
-        self.entries: dict[Key, np.ndarray] = {}
+        self.entries: dict[Key, Distribution] = {}
         for (src, tgt), dist in entries.items():
             key = (tuple(src), tuple(tgt))
             self.entries[key] = self._as_dist(dist, n_vocab)
 
     @staticmethod
-    def _as_dist(vec, n_vocab: int) -> np.ndarray:
-        arr = Distribution(vec).probs
-        if arr.size != n_vocab:
-            raise ValueError(f"distribution length {arr.size} != vocab size {n_vocab}")
-        return arr
+    def _as_dist(vec, n_vocab: int) -> Distribution:
+        dist = Distribution(vec)
+        if len(dist) != n_vocab:
+            raise ValueError(f"distribution length {len(dist)} != vocab size {n_vocab}")
+        return dist
 
     def next_dist(self, source_prefix: Sequence[int], target_prefix: Sequence[int]) -> Distribution:
-        """Longest-match lookup over the backoff schedule; total by construction."""
+        """Longest-match lookup over the backoff schedule; total by construction.
+
+        The stored Distribution is returned itself, not a copy: its array is
+        read-only, so callers cannot change the table through it.
+        """
         for key in backoff_probes(source_prefix, target_prefix):
             hit = self.entries.get(key)
             if hit is not None:
-                return Distribution(hit)
-        return Distribution(self.default)
+                return hit
+        return self.default

@@ -78,22 +78,6 @@ def p2f_loss(model: MicroModel, pair: SentencePair, l: int):
     return model.loss_and_grads([(pair.source[:l], pair.target, "full")])
 
 
-def total_loss_step(model: MicroModel, pair: SentencePair, cfg: TrainConfig,
-                    rng: np.random.Generator):
-    """One mixed-loss example: draw alpha (and l when alpha = 1).
-
-    Returns (loss, grads, audit) where audit records the draws.
-    """
-    alpha = sample_alpha(cfg.ratio_r, rng)
-    if alpha:
-        l = sample_prefix_len(len(pair.source), rng)
-        loss, grads = p2f_loss(model, pair, l)
-    else:
-        l = None
-        loss, grads = offline_loss(model, pair)
-    return loss, grads, {"alpha": alpha, "l": l}
-
-
 def multipath_batch_loss(model: MicroModel, batch: Sequence[SentencePair], k: int):
     """Wait-k prefix-to-prefix batch loss with per-position cross limits."""
     if model.mode != UNIDIRECTIONAL:

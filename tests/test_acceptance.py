@@ -223,10 +223,10 @@ def test_c07_mask_invariance():
             pert[pos] = int(rng.integers(3, 11))
         if pert == src:
             pert[g] = (pert[g] - 3 + 1) % 8 + 3
-        assert np.array_equal(uni.forward_next(tuple(src), tgt, cross_limit=g).probs,
-                              uni.forward_next(tuple(pert), tgt, cross_limit=g).probs)
-        if not np.array_equal(bi.forward_next(tuple(src), tgt, cross_limit=g).probs,
-                              bi.forward_next(tuple(pert), tgt, cross_limit=g).probs):
+        assert np.array_equal(uni.next_dist(tuple(src), tgt, cross_limit=g).probs,
+                              uni.next_dist(tuple(pert), tgt, cross_limit=g).probs)
+        if not np.array_equal(bi.next_dist(tuple(src), tgt, cross_limit=g).probs,
+                              bi.next_dist(tuple(pert), tgt, cross_limit=g).probs):
             bi_violations += 1
     assert bi_violations >= 1
     _ok(7, f"unidirectional encoder bit-exact under future perturbation on "

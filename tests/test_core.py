@@ -5,14 +5,11 @@ from hypothesis import given, strategies as st
 from simtkit import (
     ConfigError,
     CorpusError,
-    Decision,
     Distribution,
     PolicyConfig,
-    READ,
     SentencePair,
     StreamState,
     Vocabulary,
-    WRITE,
     build_vocabulary,
     load_parallel_corpus,
     validate_pair,
@@ -122,15 +119,6 @@ def test_policy_config_validation():
         PolicyConfig(r_max=0)
 
 
-def test_decision_invariants():
-    Decision(kind=WRITE, token=4)
-    Decision(kind=READ)
-    with pytest.raises(ConfigError):
-        Decision(kind=WRITE)
-    with pytest.raises(ConfigError):
-        Decision(kind=READ, token=4)
-
-
 # -- stream state -----------------------------------------------------------
 
 def test_stream_state_basic_session():
@@ -160,9 +148,9 @@ def test_stream_state_monotonicity_under_random_decisions(kinds):
                 with pytest.raises(ConfigError):
                     state.read()
                 continue
-            state.apply(Decision(kind=READ))
+            state.read()
         else:
-            state.apply(Decision(kind=WRITE, token=3))
+            state.write(3)
             writes += 1
         seen_j.append(state.j)
     assert seen_j == sorted(seen_j)

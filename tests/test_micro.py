@@ -6,6 +6,7 @@ import pytest
 from simtkit import (
     BIDIRECTIONAL,
     CapacityError,
+    ConfigError,
     MicroModel,
     ModelFileError,
     NumericError,
@@ -26,7 +27,7 @@ def test_zeroed_output_projection_gives_uniform():
     m = small_model()
     m.params["out_proj"][...] = 0.0
     n = len(m.vocab)
-    out = m.forward_next((5, 6, 1), (5,)).probs
+    out = m.next_dist((5, 6, 1), (5,)).probs
     assert np.array_equal(out, np.full(n, 1.0 / n))
 
 
@@ -53,11 +54,11 @@ def test_unidirectional_invariance_bitwise_and_bidirectional_violation():
             src2[pos] = int(rng.integers(3, 11))
         if src2 == src:
             src2[g] = (src2[g] - 3 + 1) % 8 + 3
-        base = uni.forward_next(tuple(src), tgt, cross_limit=g).probs
-        pert = uni.forward_next(tuple(src2), tgt, cross_limit=g).probs
+        base = uni.next_dist(tuple(src), tgt, cross_limit=g).probs
+        pert = uni.next_dist(tuple(src2), tgt, cross_limit=g).probs
         assert np.array_equal(base, pert), f"unidirectional leak at trial {trial}"
-        if not np.array_equal(bi.forward_next(tuple(src), tgt, cross_limit=g).probs,
-                              bi.forward_next(tuple(src2), tgt, cross_limit=g).probs):
+        if not np.array_equal(bi.next_dist(tuple(src), tgt, cross_limit=g).probs,
+                              bi.next_dist(tuple(src2), tgt, cross_limit=g).probs):
             bi_violations += 1
     assert bi_violations >= 1
 
@@ -138,10 +139,27 @@ def test_sgd_step_detects_nonfinite():
 
 def test_capacity_and_limit_errors():
     m = small_model()
+    src, tgt = (3, 4, 5, 6, 1), (3, 4, 5, 6, 1)
     with pytest.raises(CapacityError):
-        m.forward_next(tuple([3] * 20) + (1,), ())
-    with pytest.raises(Exception):
-        m.forward_next((3, 4, 1), (), cross_limit=9)  # beyond source length
+        m.next_dist(tuple([3] * 20) + (1,), ())
+    with pytest.raises(ConfigError, match=r"cross-attention limit 9 outside \[1, 3\]"):
+        m.next_dist((3, 4, 1), (), cross_limit=9)  # beyond source length
+    # one limit for a five-token target is not one per decoder row
+    with pytest.raises(ConfigError, match=r"cross-attention limit .*per decoder row \(5\)"):
+        m.sentence_nlls(src, tgt, [2])
+    with pytest.raises(ConfigError, match=r"cross-attention limit .*per decoder row \(5\)"):
+        m.loss_and_grads([(src, tgt, [2])])
+    with pytest.raises(ConfigError, match="target must be non-empty"):
+        m.sentence_nlls(src, ())
+    with pytest.raises(ConfigError, match=r"cross-attention limit .*got 2\.7"):
+        m.next_dist(src, tgt[:2], cross_limit=2.7)
+    with pytest.raises(ConfigError, match="cross-attention limit .*got 'all'"):
+        m.next_dist(src, tgt[:2], cross_limit="all")  # "full" is the only sentinel
+    for call in (lambda: m.next_dist((), ()),
+                 lambda: m.sentence_nlls((), tgt),
+                 lambda: m.loss_and_grads([((), tgt, "full")])):
+        with pytest.raises(ConfigError, match="source must be non-empty"):
+            call()
 
 
 def test_save_load_round_trip_bitwise(tmp_path):

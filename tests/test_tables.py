@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simtkit import TableModel, delta_distribution, uniform_distribution
+from simtkit import (
+    ModelFileError,
+    TableModel,
+    Vocabulary,
+    delta_distribution,
+    load_model,
+    save_model,
+    uniform_distribution,
+)
 from simtkit.tables import backoff_probes
 
 
@@ -31,8 +39,8 @@ def _linear_scan_lookup(entry_items, src, tgt, default):
     for key in _oracle_probe_order(src, tgt):
         for stored_key, dist in entry_items:
             if stored_key == key:
-                return dist
-    return default
+                return dist.probs
+    return default.probs
 
 
 def test_copy_delta_and_default_lookup():
@@ -100,9 +108,15 @@ def test_determinism_and_totality_on_random_queries():
         assert np.array_equal(first.probs, model.next_dist(src, tgt).probs)
 
 
-def test_bad_backoff_and_bad_dist_rejected():
+def test_bad_backoff_and_bad_dist_rejected(tmp_path):
     n = 4
-    with pytest.raises(ValueError):
-        TableModel(n, {}, uniform_distribution(n).probs, backoff="bogus")
+    vocab = Vocabulary(tokens=("<bos>", "<eos>", "<unk>", "w0"), bos=0, eos=1, unk=2)
+    path = tmp_path / "t.json"
+    save_model(TableModel(n, {}, uniform_distribution(n).probs, vocab=vocab), path)
+    text = path.read_text()
+    assert '"backoff": "t2,t1,t0,s*"' in text
+    path.write_text(text.replace('"backoff": "t2,t1,t0,s*"', '"backoff": "bogus"'))
+    with pytest.raises(ModelFileError, match="bogus"):
+        load_model(path)
     with pytest.raises(ValueError):
         TableModel(n, {((0,), ()): [0.5, 0.5]}, uniform_distribution(n).probs)

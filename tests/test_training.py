@@ -16,7 +16,6 @@ from simtkit import (
     p2f_loss,
     sample_alpha,
     sample_prefix_len,
-    total_loss_step,
     train,
 )
 
@@ -75,30 +74,6 @@ def test_p2f_loss_uniform_model_is_log_vocab_any_prefix():
         assert math.isclose(loss, math.log(len(vocab)), abs_tol=1e-12)
     with pytest.raises(ConfigError):
         p2f_loss(m, pair, 0)
-
-
-def test_total_loss_step_collapses_at_r0_and_records_draws():
-    vocab, pairs = copy_corpus()
-    m = MicroModel(vocab, d=16, max_len=16, seed=6)
-    cfg = TrainConfig(regime="p2f", ratio_r=0.0)
-    rng = np.random.default_rng(0)
-    loss, _, audit = total_loss_step(m, pairs[0], cfg, rng)
-    assert audit == {"alpha": 0, "l": None}
-    assert loss == offline_loss(m, pairs[0])[0]
-    cfg1 = TrainConfig(regime="p2f", ratio_r=1.0)
-    _, _, audit1 = total_loss_step(m, pairs[0], cfg1, np.random.default_rng(1))
-    assert audit1["alpha"] == 1 and 1 <= audit1["l"] <= len(pairs[0].source)
-
-
-def test_total_loss_step_deterministic_under_seed():
-    vocab, pairs = copy_corpus()
-    m = MicroModel(vocab, d=16, max_len=16, seed=6)
-    cfg = TrainConfig(regime="p2f", ratio_r=0.6)
-    runs = []
-    for _ in range(2):
-        rng = np.random.default_rng(42)
-        runs.append([total_loss_step(m, p, cfg, rng)[::2] for p in pairs[:10]])
-    assert runs[0] == runs[1]
 
 
 def test_multipath_requires_unidirectional():
@@ -173,6 +148,21 @@ def test_r0_training_identical_to_offline_step_for_step():
     assert off_losses == p2f_losses
     assert all(np.array_equal(off_model.params[k], p2f_model.params[k])
                for k in off_model.params)
+
+
+def test_p2f_epoch_audit_records_draws():
+    vocab, pairs = copy_corpus()
+    longest = max(len(p.source) for p in pairs)
+    for r in (0.0, 1.0):
+        m = MicroModel(vocab, d=16, max_len=16, seed=6)
+        res = train(m, pairs, TrainConfig(regime="p2f", ratio_r=r, epochs=2,
+                                          batch_size=8, lr=0.0, seed=1))
+        assert len(res.epoch_stats) == 2
+        for stat in res.epoch_stats:
+            if r == 0.0:
+                assert stat.alpha_rate == 0.0 and stat.mean_l == 0.0
+            else:
+                assert stat.alpha_rate == 1.0 and 1 <= stat.mean_l <= longest
 
 
 def test_multipath_k_histogram_covers_choices():
