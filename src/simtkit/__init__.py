@@ -16,7 +16,6 @@ from .core import (
     Vocabulary,
     WRITE,
     build_vocabulary,
-    delta_distribution,
     load_parallel_corpus,
     uniform_distribution,
     validate_pair,
@@ -35,7 +34,6 @@ from .policy import (
     cosine_divergence,
     decide,
     divergence_matrix,
-    echo_provider,
     make_suffix,
     psfuture_divergence,
     simulate_sentence,
@@ -52,8 +50,6 @@ from .training import (
     TrainConfig,
     TrainResult,
     multipath_batch_loss,
-    offline_loss,
-    p2f_loss,
     sample_alpha,
     sample_prefix_len,
     train,

@@ -111,8 +111,6 @@ def build_parser() -> _Parser:
     w.add_argument("--initial-prefix", type=int, default=2)
     w.add_argument("--max-target-len", type=int, default=64)
     w.add_argument("--seed", type=int, default=0)
-    w.add_argument("--parallel", action="store_true")
-    w.add_argument("--workers", type=int, default=4)
     w.add_argument("--out", required=True)
 
     d = sub.add_parser("divergence", help="divergence matrix for one pair")
@@ -302,8 +300,6 @@ def _cmd_sweep(args) -> int:
         initial_prefix=args.initial_prefix,
         max_target_len=args.max_target_len,
         seed=args.seed,
-        parallel=args.parallel,
-        workers=args.workers,
         random_count=args.random_count,
         random_top_k=args.random_top_k,
     )

@@ -60,11 +60,10 @@ class Vocabulary:
     eos: int
     unk: int
     freq_rank: Mapping[str, int] | None = None
-    id_of: Mapping[str, int] = field(default=None, repr=False)  # type: ignore[assignment]
+    id_of: Mapping[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.id_of is None:
-            object.__setattr__(self, "id_of", {t: i for i, t in enumerate(self.tokens)})
+        object.__setattr__(self, "id_of", {t: i for i, t in enumerate(self.tokens)})
         if len(self.id_of) != len(self.tokens):
             raise ConfigError("duplicate tokens in vocabulary")
         for name, i in (("bos", self.bos), ("eos", self.eos), ("unk", self.unk)):
@@ -172,12 +171,6 @@ class Distribution:
     def argmax(self) -> int:
         """Lowest index among maximal entries (deterministic tie-break)."""
         return int(np.argmax(self.probs))
-
-
-def delta_distribution(n_vocab: int, token_id: int) -> Distribution:
-    vec = np.zeros(n_vocab)
-    vec[token_id] = 1.0
-    return Distribution(vec)
 
 
 def uniform_distribution(n_vocab: int, support: Sequence[int] | None = None) -> Distribution:

@@ -26,14 +26,11 @@ class MetricError(ValueError):
     """Metric preconditions violated (empty inputs, mismatched sizes...)."""
 
 
-def average_lagging(g_record: Sequence[int], n_source: int,
-                    n_target: int | None = None) -> float:
-    """Average lagging of one sentence; ``n_target`` defaults to len(g_record)."""
+def average_lagging(g_record: Sequence[int], n_source: int) -> float:
+    """Average lagging of one sentence whose hypothesis has len(g_record) tokens."""
     if len(g_record) == 0:
         raise MetricError("average lagging is undefined for an empty hypothesis")
-    t_len = len(g_record) if n_target is None else n_target
-    if t_len != len(g_record):
-        raise MetricError(f"n_target {t_len} != len(g_record) {len(g_record)}")
+    t_len = len(g_record)
     prev = 0
     for g in g_record:
         if not (1 <= g <= n_source):

@@ -73,10 +73,9 @@ class FixedSuffix:
 @dataclass(frozen=True)
 class RandomSuffix:
     """``count`` ids drawn uniformly from the ``top_k`` most frequent ranked
-    tokens, resampled on every decision."""
+    tokens, resampled on every decision from the caller's rng."""
     count: int = 4
     top_k: int = 200
-    seed: int | None = None
     name: str = "random"
 
 
@@ -94,16 +93,6 @@ class ExternalSuffix:
 
 
 SuffixSpec = Union[FixedSuffix, RandomSuffix, OracleSuffix, ExternalSuffix]
-
-
-def echo_provider(text: str) -> Callable[[str, Vocabulary], list[str]]:
-    """External-provider stub that always returns the same token strings."""
-    tokens = text.split()
-
-    def provide(_prefix_text: str, _vocab: Vocabulary) -> list[str]:
-        return list(tokens)
-
-    return provide
 
 
 def suffix_from_name(name: str, vocab: Vocabulary,
@@ -151,9 +140,9 @@ def make_suffix(
     if isinstance(spec, RandomSuffix):
         if spec.count < 1:
             raise ConfigError("random suffix count must be >= 1")
-        pool = vocab.top_ranked_ids(spec.top_k)
         if rng is None:
-            rng = np.random.default_rng(spec.seed)
+            raise ConfigError("random suffix requires a seeded rng")
+        pool = vocab.top_ranked_ids(spec.top_k)
         return tuple(int(pool[i]) for i in rng.integers(0, len(pool), size=spec.count))
     if isinstance(spec, OracleSuffix):
         if full_source is None:
@@ -232,8 +221,6 @@ def simulate_sentence(
     source = tuple(source)
     if not source or source[-1] != vocab.eos:
         raise ConfigError("source must be non-empty and end with EOS")
-    if isinstance(suffix_spec, RandomSuffix) and rng is None:
-        rng = np.random.default_rng(suffix_spec.seed)
 
     n = len(source)
     state = StreamState(n, cfg.initial_prefix, vocab.bos)
@@ -358,8 +345,6 @@ def divergence_matrix(
     With the oracle suffix the g = N column is defined as zero: no future
     remains to append.
     """
-    if isinstance(suffix_spec, RandomSuffix) and rng is None:
-        rng = np.random.default_rng(suffix_spec.seed)
     n = len(pair.source)
     t_len = len(pair.target)
     values = np.zeros((t_len, n))

@@ -1,14 +1,14 @@
 """Configuration-driven latency/quality sweeps and divergence reports.
 
-A sweep evaluates one (lambda or k) x suffix cell at a time over a corpus
-and emits one EvalResult row per cell, sorted by AL. Per-sentence RNGs are
-derived from (global seed, sentence index) so serial and parallel runs, and
-re-runs of individual cells, agree byte for byte.
+A sweep evaluates one (lambda or k) x suffix cell at a time over a corpus,
+one sentence after another, and emits one EvalResult row per cell, sorted
+by AL. Per-sentence RNGs are derived from (global seed, sentence index), so
+a cell or a sentence re-run on its own agrees byte for byte with the full
+sweep.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,8 +38,6 @@ class SweepSpec:
     initial_prefix: int = 2
     max_target_len: int = 64
     seed: int = 0
-    parallel: bool = False
-    workers: int = 4
     random_count: int = 4      # random-suffix knobs
     random_top_k: int = 200
 
@@ -86,11 +84,9 @@ def run_sweep(
 
 def _run_cell(model, vocab, pairs, spec, k=None, lam=None, suffix_name=None) -> EvalResult:
     if k is not None:
-        def one(item):
-            _i, pair = item
-            sim = simulate_waitk(model, vocab, k, pair.source,
-                                 max_target_len=spec.max_target_len)
-            return sim.hypothesis, sim.g_record
+        def one(_i, source):
+            return simulate_waitk(model, vocab, k, source,
+                                  max_target_len=spec.max_target_len)
         policy, value, suffix_id = "waitk", k, ""
     else:
         suffix = suffix_from_name(suffix_name, vocab, tokens=spec.suffix_tokens or None,
@@ -100,26 +96,22 @@ def _run_cell(model, vocab, pairs, spec, k=None, lam=None, suffix_name=None) -> 
                            initial_prefix=spec.initial_prefix,
                            max_target_len=spec.max_target_len)
 
-        def one(item):
-            i, pair = item
-            sim = simulate_sentence(model, vocab, cfg, suffix, pair.source,
-                                    rng=_sentence_rng(spec.seed, i))
-            return sim.hypothesis, sim.g_record
+        def one(i, source):
+            return simulate_sentence(model, vocab, cfg, suffix, source,
+                                     rng=_sentence_rng(spec.seed, i))
         policy, value, suffix_id = "psfuture", lam, suffix.name
 
-    try:
-        if spec.parallel:
-            with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-                outs = list(pool.map(one, enumerate(pairs)))
-        else:
-            outs = [one(item) for item in enumerate(pairs)]
-    except Exception as exc:
-        raise RuntimeError(
-            f"sweep cell failed (policy={policy}, value={value}, "
-            f"suffix={suffix_id or '-'}): {exc}") from exc
+    hyps, g_records = [], []
+    for i, pair in enumerate(pairs):
+        try:
+            sim = one(i, pair.source)
+        except Exception as exc:
+            raise RuntimeError(
+                f"sweep cell failed (policy={policy}, value={value}, "
+                f"suffix={suffix_id or '-'}) at sentence {i}: {exc}") from exc
+        hyps.append(sim.hypothesis)
+        g_records.append(sim.g_record)
 
-    hyps = [h for h, _ in outs]
-    g_records = [g for _, g in outs]
     alignments = None
     if all(p.alignment is not None for p in pairs) and \
             all(h == p.target for h, p in zip(hyps, pairs)):

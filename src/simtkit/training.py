@@ -67,17 +67,6 @@ def sample_alpha(r: float, rng: np.random.Generator) -> int:
     return int(rng.random() < r)
 
 
-def offline_loss(model: MicroModel, pair: SentencePair):
-    return model.loss_and_grads([(pair.source, pair.target, "full")])
-
-
-def p2f_loss(model: MicroModel, pair: SentencePair, l: int):
-    """Loss of the full reference target given only the source prefix x_<=l."""
-    if not (1 <= l <= len(pair.source)):
-        raise ConfigError(f"prefix length {l} outside [1, {len(pair.source)}]")
-    return model.loss_and_grads([(pair.source[:l], pair.target, "full")])
-
-
 def multipath_batch_loss(model: MicroModel, batch: Sequence[SentencePair], k: int):
     """Wait-k prefix-to-prefix batch loss with per-position cross limits."""
     if model.mode != UNIDIRECTIONAL:

@@ -29,6 +29,15 @@ def test_build_vocabulary_counts_and_specials():
     assert vocab.id_of[vocab.tokens[3]] == 3
 
 
+def test_vocabulary_id_of_is_derived_not_passed():
+    tokens = ("<bos>", "<eos>", "<unk>", "a")
+    with pytest.raises(TypeError):
+        Vocabulary(tokens=tokens, bos=0, eos=1, unk=2,
+                   id_of={"<bos>": 1, "<eos>": 2, "<unk>": 3, "a": 0})
+    vocab = Vocabulary(tokens=tokens, bos=0, eos=1, unk=2)
+    assert all(vocab.token(vocab.id(t)) == t for t in tokens)
+
+
 def test_build_vocabulary_empty_corpus_rejected():
     with pytest.raises(ConfigError):
         build_vocabulary([])

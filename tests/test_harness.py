@@ -5,6 +5,8 @@ import pytest
 import simtkit as sk
 from simtkit import (
     ConfigError,
+    MicroModel,
+    SentencePair,
     SweepSpec,
     SyntheticSpec,
     emit_divergence_report,
@@ -54,13 +56,17 @@ def test_sweep_cell_independence():
     assert matching == only_second
 
 
-def test_sweep_parallel_equals_serial():
-    vocab, pairs, model = copy_world(n_pairs=16)
-    base = SweepSpec(policy="psfuture", lambdas=(0.05, 0.1), suffixes=("random",),
-                     seed=4, random_top_k=6)
-    par = SweepSpec(policy="psfuture", lambdas=(0.05, 0.1), suffixes=("random",),
-                    seed=4, parallel=True, workers=4, random_top_k=6)
-    assert run_sweep(model, vocab, pairs, base) == run_sweep(model, vocab, pairs, par)
+def test_sweep_failure_names_the_sentence():
+    vocab, pairs, _ = copy_world(n_pairs=4)
+    long_source = tuple(vocab.id(f"w{i % 6}") for i in range(14)) + (vocab.eos,)
+    pairs.insert(2, SentencePair(source=long_source, target=long_source))
+    model = MicroModel(vocab, d=8, max_len=16, seed=1)
+    # lambda -1 reads the whole source first, so sentence 2 probes 13 source
+    # tokens plus the 4-token random suffix
+    spec = SweepSpec(policy="psfuture", lambdas=(-1.0,), suffixes=("random",),
+                     max_target_len=8, random_top_k=6)
+    with pytest.raises(RuntimeError, match=r"at sentence 2: .*max_len 16"):
+        run_sweep(model, vocab, pairs, spec)
 
 
 def test_sweep_spec_validation():
@@ -139,14 +145,10 @@ def test_cli_determinism_byte_identical(tmp_path):
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
 
-    # serial and parallel sweeps agree byte for byte
-    par = tmp_path / "par.csv"
+    # sweep has no --parallel option, so passing it is a usage error
     assert run_cli("sweep", "--policy", "psfuture", "--lambda", "0.05,0.2",
-                   "--suffix", "random,oracle", "--model", str(model),
-                   "--src", str(src), "--tgt", str(tgt), "--out", str(par),
-                   "--seed", "11", "--parallel", "--workers", "3",
-                   "--random-top-k", "6") == 0
-    assert par.read_bytes() == outs[0]
+                   "--model", str(model), "--src", str(src), "--tgt", str(tgt),
+                   "--out", str(tmp_path / "par.csv"), "--parallel") == 1
 
 
 def test_cli_simulate_trace_and_determinism(tmp_path, capsys):

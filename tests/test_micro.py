@@ -187,12 +187,12 @@ def test_truncated_model_file_rejected(tmp_path):
 
 
 def test_table_model_round_trip_lookup_traces(tmp_path):
-    from simtkit import TableModel, delta_distribution, uniform_distribution
+    from simtkit import TableModel, uniform_distribution
     vocab = make_vocab(3)
     n = len(vocab)
     entries = {
-        ((3,), ()): delta_distribution(n, 3).probs,
-        ((3, 4), (3,)): delta_distribution(n, 4).probs,
+        ((3,), ()): np.eye(n)[3],
+        ((3, 4), (3,)): np.eye(n)[4],
         ((4,), ()): uniform_distribution(n, [3, 4]).probs,
     }
     model = TableModel(n, entries, uniform_distribution(n).probs, vocab=vocab)

@@ -18,7 +18,6 @@ from simtkit import (
     cosine_divergence,
     decide,
     divergence_matrix,
-    echo_provider,
     make_suffix,
     psfuture_divergence,
     simulate_sentence,
@@ -104,15 +103,34 @@ def test_random_suffix_draws_fresh_and_in_rank_set():
         make_suffix(RandomSuffix(count=4, top_k=999), vocab, rng)
 
 
+def test_random_suffix_requires_an_rng():
+    # without a caller-seeded rng the draws would come from OS entropy
+    corpus = [[f"t{i}"] * (20 - i) for i in range(10)]
+    vocab = sk.build_vocabulary(corpus)
+    spec = RandomSuffix(count=4, top_k=5)
+    source = (3, 4, 5, 6, vocab.eos)
+    pair = sk.SentencePair(source=source, target=source)
+    model = HashedModel(len(vocab), seed=1)
+    with pytest.raises(ConfigError, match="rng"):
+        make_suffix(spec, vocab)
+    with pytest.raises(ConfigError, match="rng"):
+        simulate_sentence(model, vocab, PolicyConfig(lam=0.2), spec, source)
+    with pytest.raises(ConfigError, match="rng"):
+        divergence_matrix(model, vocab, pair, spec)
+
+
 def test_external_suffix_contract():
     vocab = make_vocab()
-    spec = ExternalSuffix(provider=echo_provider("w0 mystery <eos>"))
-    ids = make_suffix(spec, vocab, full_source=(3, 4, 1), j=2)
+
+    def echo(text):
+        return ExternalSuffix(provider=lambda _prefix, _vocab: text.split())
+
+    ids = make_suffix(echo("w0 mystery <eos>"), vocab, full_source=(3, 4, 1), j=2)
     assert ids == (3, vocab.unk, vocab.eos)  # OOV token mapped to UNK
     with pytest.raises(ConfigError):
-        make_suffix(ExternalSuffix(provider=echo_provider("")), vocab)
+        make_suffix(echo(""), vocab)
     with pytest.raises(ConfigError):
-        make_suffix(ExternalSuffix(provider=echo_provider("w0 w1")), vocab)
+        make_suffix(echo("w0 w1"), vocab)
 
 
 # -- decide ---------------------------------------------------------------------

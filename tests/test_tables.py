@@ -6,7 +6,6 @@ from simtkit import (
     ModelFileError,
     TableModel,
     Vocabulary,
-    delta_distribution,
     load_model,
     save_model,
     uniform_distribution,
@@ -45,7 +44,7 @@ def _linear_scan_lookup(entry_items, src, tgt, default):
 
 def test_copy_delta_and_default_lookup():
     n = 6
-    entries = {((3,), ()): delta_distribution(n, 3).probs}
+    entries = {((3,), ()): np.eye(n)[3]}
     model = TableModel(n, entries, uniform_distribution(n).probs)
     assert model.next_dist((3,), ()).argmax() == 3
     # unseen context falls through to the uniform default
@@ -56,7 +55,7 @@ def test_copy_delta_and_default_lookup():
 def test_entry_at_truncation_level_found():
     n = 6
     # only a target-suffix-1 entry exists for this source context
-    entries = {((3, 4), (5,)): delta_distribution(n, 2).probs}
+    entries = {((3, 4), (5,)): np.eye(n)[2]}
     model = TableModel(n, entries, uniform_distribution(n).probs)
     out = model.next_dist((3, 4), (4, 4, 5))  # full target (4,4,5) misses
     assert out.argmax() == 2

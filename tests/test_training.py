@@ -12,8 +12,6 @@ from simtkit import (
     TrainConfig,
     UNIDIRECTIONAL,
     multipath_batch_loss,
-    offline_loss,
-    p2f_loss,
     sample_alpha,
     sample_prefix_len,
     train,
@@ -58,8 +56,9 @@ def test_p2f_loss_full_prefix_equals_offline():
     vocab, pairs = copy_corpus()
     m = MicroModel(vocab, d=16, max_len=16, seed=5)
     pair = pairs[0]
-    lo, go = offline_loss(m, pair)
-    lp, gp = p2f_loss(m, pair, len(pair.source))
+    n = len(pair.source)
+    lo, go = m.loss_and_grads([(pair.source, pair.target, "full")])
+    lp, gp = m.loss_and_grads([(pair.source[:n], pair.target, "full")])
     assert abs(lo - lp) <= 1e-12
     assert all(np.array_equal(go[k], gp[k]) for k in go)
 
@@ -70,10 +69,10 @@ def test_p2f_loss_uniform_model_is_log_vocab_any_prefix():
     m.params["out_proj"][...] = 0.0
     pair = pairs[0]
     for l in range(1, len(pair.source) + 1):
-        loss, _ = p2f_loss(m, pair, l)
+        loss, _ = m.loss_and_grads([(pair.source[:l], pair.target, "full")])
         assert math.isclose(loss, math.log(len(vocab)), abs_tol=1e-12)
-    with pytest.raises(ConfigError):
-        p2f_loss(m, pair, 0)
+    with pytest.raises(ConfigError, match="source must be non-empty"):
+        m.loss_and_grads([(pair.source[:0], pair.target, "full")])
 
 
 def test_multipath_requires_unidirectional():
