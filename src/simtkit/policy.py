@@ -167,6 +167,31 @@ def make_suffix(
 # Divergence probes and decisions
 # ---------------------------------------------------------------------------
 
+class _ProbeMemo:
+    """A model whose ``next_dist`` answers each distinct query once.
+
+    ``next_dist`` is a pure function of the model's parameters and the query,
+    so a stored answer equals a fresh forward bit for bit while the
+    parameters stay unchanged. An owner therefore keeps a memo no longer
+    than one call that does not train (``run_sweep``, ``divergence_matrix``).
+    The stored ``Distribution`` is shared; its array is read-only. A query
+    that raises stores nothing.
+    """
+
+    __slots__ = ("model", "answers")
+
+    def __init__(self, model):
+        self.model = model
+        self.answers: dict[tuple[tuple[int, ...], tuple[int, ...]], Distribution] = {}
+
+    def next_dist(self, source_prefix, target_prefix) -> Distribution:
+        key = (tuple(source_prefix), tuple(target_prefix))
+        dist = self.answers.get(key)
+        if dist is None:
+            dist = self.answers[key] = self.model.next_dist(*key)
+        return dist
+
+
 def psfuture_divergence(model, source_prefix, target_prefix, suffix) -> float:
     """Divergence between predictions with and without the pseudo future."""
     part = model.next_dist(tuple(source_prefix), tuple(target_prefix))
@@ -343,8 +368,10 @@ def divergence_matrix(
     """Entry (t, g) = divergence at reference prefix y_<t and source x_<=g.
 
     With the oracle suffix the g = N column is defined as zero: no future
-    remains to append.
+    remains to append. Probes go through one memo per matrix: with the
+    ``eos`` suffix the pseudo probe at g = N - 1 is the plain probe at g = N.
     """
+    model = _ProbeMemo(model)
     n = len(pair.source)
     t_len = len(pair.target)
     values = np.zeros((t_len, n))

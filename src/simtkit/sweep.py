@@ -4,7 +4,7 @@ A sweep evaluates one (lambda or k) x suffix cell at a time over a corpus,
 one sentence after another, and emits one EvalResult row per cell, sorted
 by AL. Per-sentence RNGs are derived from (global seed, sentence index), so
 a cell or a sentence re-run on its own agrees byte for byte with the full
-sweep.
+sweep; the sweep's probe memo is exact, so it changes forwards, not results.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ import numpy as np
 from .core import ConfigError, PolicyConfig, SentencePair, Vocabulary
 from .metrics import EvalResult, evaluate_run
 from .policy import (
+    FixedSuffix,
+    OracleSuffix,
+    _ProbeMemo,
     divergence_matrix,
     simulate_sentence,
     simulate_waitk,
@@ -66,32 +69,67 @@ def run_sweep(
     pairs: Sequence[SentencePair],
     spec: SweepSpec,
 ) -> list[EvalResult]:
-    """One EvalResult row per sweep cell, sorted by AL."""
+    """One EvalResult row per sweep cell, sorted by AL.
+
+    Every sentence is checked against the model's ``max_len`` (when it has
+    one) before the first cell runs. All cells send their queries through
+    one probe memo, so a query asked again by a later decision, sentence or
+    cell costs no forward; the memo is dropped on return.
+    """
     if not pairs:
         raise ConfigError("sweep corpus is empty")
-    results = []
+    suffixes = []
+    if spec.policy == "psfuture":
+        suffixes = [suffix_from_name(name, vocab, tokens=spec.suffix_tokens or None,
+                                     random_count=spec.random_count,
+                                     random_top_k=spec.random_top_k)
+                    for name in spec.suffixes]
+    _check_lengths(model, pairs, spec, suffixes)
+    memo = _ProbeMemo(model)
     if spec.policy == "waitk":
-        for k in spec.ks:
-            results.append(_run_cell(model, vocab, pairs, spec, k=k))
+        results = [_run_cell(memo, vocab, pairs, spec, k=k) for k in spec.ks]
     else:
-        for suffix_name in spec.suffixes:
-            for lam in spec.lambdas:
-                results.append(_run_cell(model, vocab, pairs, spec,
-                                         lam=lam, suffix_name=suffix_name))
+        results = [_run_cell(memo, vocab, pairs, spec, lam=lam, suffix=suffix)
+                   for suffix in suffixes for lam in spec.lambdas]
     results.sort(key=lambda r: (r.al, r.lambda_or_k, r.suffix))
     return results
 
 
-def _run_cell(model, vocab, pairs, spec, k=None, lam=None, suffix_name=None) -> EvalResult:
+def _check_lengths(model, pairs, spec, suffixes) -> None:
+    """Raise ConfigError if some query of the sweep could exceed the model's
+    ``max_len``.
+
+    A psfuture probe appends a fixed or random suffix to at most n - 1 read
+    tokens (the source is not exhausted); the oracle suffix restores the
+    n-token source, and every other query reads at most the whole source.
+    Decoder inputs hold BOS plus at most ``max_target_len - 1`` tokens.
+    """
+    max_len = getattr(model, "max_len", None)
+    if max_len is None:
+        return
+    if spec.max_target_len > max_len:
+        raise ConfigError(f"max_target_len {spec.max_target_len} exceeds "
+                          f"the model's max_len {max_len}")
+    appended = [(len(s.tokens) if isinstance(s, FixedSuffix) else s.count, s.name)
+                for s in suffixes if not isinstance(s, OracleSuffix)]
+    added, name = max(appended, default=(0, ""))
+    for i, pair in enumerate(pairs):
+        n = len(pair.source)
+        if n > max_len:
+            raise ConfigError(f"sentence {i}: source length {n} exceeds max_len {max_len}")
+        if n - 1 + added > max_len:
+            raise ConfigError(
+                f"sentence {i}: source length {n - 1 + added} ({n - 1} tokens plus the "
+                f"{added}-token {name} suffix) exceeds max_len {max_len}")
+
+
+def _run_cell(model, vocab, pairs, spec, k=None, lam=None, suffix=None) -> EvalResult:
     if k is not None:
         def one(_i, source):
             return simulate_waitk(model, vocab, k, source,
                                   max_target_len=spec.max_target_len)
         policy, value, suffix_id = "waitk", k, ""
     else:
-        suffix = suffix_from_name(suffix_name, vocab, tokens=spec.suffix_tokens or None,
-                                  random_count=spec.random_count,
-                                  random_top_k=spec.random_top_k)
         cfg = PolicyConfig(lam=lam, r_max=spec.r_max,
                            initial_prefix=spec.initial_prefix,
                            max_target_len=spec.max_target_len)

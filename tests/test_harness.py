@@ -1,20 +1,31 @@
 import json
 
+import numpy as np
 import pytest
 
 import simtkit as sk
 from simtkit import (
+    BIDIRECTIONAL,
     ConfigError,
+    Distribution,
     MicroModel,
+    NumericError,
     SentencePair,
     SweepSpec,
     SyntheticSpec,
+    UNIDIRECTIONAL,
+    divergence_matrix,
     emit_divergence_report,
     generate_corpus,
+    psfuture_divergence,
     run_sweep,
+    sgd_step,
+    suffix_from_name,
     sweep_csv_lines,
 )
+from simtkit import sweep
 from simtkit.cli import main
+from simtkit.policy import _ProbeMemo
 
 
 def copy_world(n_range=(4, 7), n_pairs=12, seed=3, vocab_size=9):
@@ -56,17 +67,138 @@ def test_sweep_cell_independence():
     assert matching == only_second
 
 
-def test_sweep_failure_names_the_sentence():
+class CountingModel:
+    """Counts the forwards asked of a model; declares no ``max_len``."""
+
+    def __init__(self, model):
+        self.model = model
+        self.forwards = 0
+
+    def next_dist(self, source_prefix, target_prefix):
+        self.forwards += 1
+        return self.model.next_dist(source_prefix, target_prefix)
+
+
+def long_source_world():
+    """Four short copy pairs with a 15-token pair (EOS included) at index 2,
+    and an untrained micro model with max_len 16."""
     vocab, pairs, _ = copy_world(n_pairs=4)
     long_source = tuple(vocab.id(f"w{i % 6}") for i in range(14)) + (vocab.eos,)
     pairs.insert(2, SentencePair(source=long_source, target=long_source))
-    model = MicroModel(vocab, d=8, max_len=16, seed=1)
-    # lambda -1 reads the whole source first, so sentence 2 probes 13 source
-    # tokens plus the 4-token random suffix
+    return vocab, pairs, MicroModel(vocab, d=8, max_len=16, seed=1)
+
+
+def test_sweep_checks_lengths_before_the_first_cell():
+    vocab, pairs, model = long_source_world()
+    counting = CountingModel(model)
+    counting.max_len = model.max_len
+    # sentence 2 could probe 14 read tokens plus the 4-token random suffix
+    spec = SweepSpec(policy="psfuture", lambdas=(-1.0,), suffixes=("eos", "random"),
+                     max_target_len=8, random_top_k=6)
+    with pytest.raises(ConfigError, match=r"^sentence 2: source length 18 .*"
+                                          r"4-token random suffix.* max_len 16$"):
+        run_sweep(counting, vocab, pairs, spec)
+    assert counting.forwards == 0
+    with pytest.raises(ConfigError, match="max_target_len 32 exceeds the model's max_len 16"):
+        run_sweep(counting, vocab, pairs, SweepSpec(policy="waitk", ks=(1,), max_target_len=32))
+    assert counting.forwards == 0
+    # the oracle suffix and wait-k never query more than the 15-token source
+    for fits in (SweepSpec(policy="psfuture", lambdas=(-1.0,), suffixes=("oracle",),
+                           max_target_len=8),
+                 SweepSpec(policy="waitk", ks=(3,), max_target_len=16)):
+        assert len(run_sweep(counting, vocab, pairs, fits)) == 1
+    too_long = tuple(vocab.id(f"w{i % 6}") for i in range(16)) + (vocab.eos,)
+    pairs[3] = SentencePair(source=too_long, target=too_long)
+    with pytest.raises(ConfigError, match=r"^sentence 3: source length 17 exceeds max_len 16$"):
+        run_sweep(model, vocab, pairs, SweepSpec(policy="waitk", ks=(3,), max_target_len=16))
+
+
+def test_sweep_failure_names_the_sentence():
+    vocab, pairs, model = long_source_world()
+    # a model that declares no max_len gets no pre-flight; lambda -1 reads the
+    # whole source first, so sentence 2 probes 13 source tokens plus the
+    # 4-token random suffix
     spec = SweepSpec(policy="psfuture", lambdas=(-1.0,), suffixes=("random",),
                      max_target_len=8, random_top_k=6)
     with pytest.raises(RuntimeError, match=r"at sentence 2: .*max_len 16"):
-        run_sweep(model, vocab, pairs, spec)
+        run_sweep(CountingModel(model), vocab, pairs, spec)
+
+
+def sweep_recorded(monkeypatch, model, vocab, pairs, spec, memo=True):
+    """Rows, every simulation in call order, and the forwards of one sweep;
+    ``memo=False`` sends every cell's queries straight to the model."""
+    counting = CountingModel(model)
+    sims = []
+    with monkeypatch.context() as m:
+        if not memo:
+            m.setattr(sweep, "_ProbeMemo", lambda wrapped: wrapped)
+        for name in ("simulate_sentence", "simulate_waitk"):
+            def record(*args, _simulate=getattr(sweep, name), **kwargs):
+                sim = _simulate(*args, **kwargs)
+                sims.append((sim.hypothesis, sim.g_record, sim.trace, sim.truncated))
+                return sim
+            m.setattr(sweep, name, record)
+        rows = run_sweep(counting, vocab, pairs, spec)
+    return rows, sims, counting.forwards
+
+
+def table_world():
+    return generate_corpus(SyntheticSpec(kind="tail_first", vocab_size=9, n_range=(4, 8),
+                                         n_pairs=16, seed=5))
+
+
+def micro_world():
+    vocab, pairs, _ = copy_world(n_pairs=10)
+    return vocab, pairs, MicroModel(vocab, d=8, max_len=16, mode=UNIDIRECTIONAL, seed=4)
+
+
+@pytest.mark.parametrize("world", [table_world, micro_world])
+@pytest.mark.parametrize("spec", [
+    SweepSpec(policy="psfuture", lambdas=(0.02, 0.1, 0.3), suffixes=("eos", "random", "oracle"),
+              r_max=4, max_target_len=12, seed=3, random_top_k=6),
+    SweepSpec(policy="waitk", ks=(1, 2, 4), max_target_len=12),
+], ids=["psfuture", "waitk"])
+def test_sweep_memo_changes_forwards_not_results(monkeypatch, world, spec):
+    vocab, pairs, model = world()
+    rows, sims, forwards = sweep_recorded(monkeypatch, model, vocab, pairs, spec)
+    want_rows, want_sims, want_forwards = sweep_recorded(monkeypatch, model, vocab, pairs,
+                                                         spec, memo=False)
+    assert rows == want_rows
+    assert sims == want_sims and len(sims) == len(rows) * len(pairs)
+    assert forwards < want_forwards
+
+
+def test_sweep_memo_does_not_outlive_the_call():
+    vocab, pairs, model = micro_world()
+    spec = SweepSpec(policy="psfuture", lambdas=(0.02, 0.1), suffixes=("eos",),
+                     max_target_len=12, seed=1)
+    before = run_sweep(model, vocab, pairs, spec)
+    _, grads = model.loss_and_grads([(p.source, p.target, "full") for p in pairs])
+    sgd_step(model, grads, lr=5.0)
+    after = run_sweep(model, vocab, pairs, spec)
+    fresh = MicroModel(vocab, d=8, max_len=16, mode=UNIDIRECTIONAL,
+                       params={name: p.copy() for name, p in model.params.items()})
+    assert after == run_sweep(fresh, vocab, pairs, spec)
+    assert after != before
+
+
+def test_probe_memo_does_not_store_a_failed_query():
+    answer = Distribution(np.full(3, 1 / 3))
+    queries = []
+
+    class FailsOnce:
+        def next_dist(self, source_prefix, target_prefix):
+            queries.append((source_prefix, target_prefix))
+            if len(queries) == 1:
+                raise NumericError("non-finite values in logits")
+            return answer
+
+    memo = _ProbeMemo(FailsOnce())
+    with pytest.raises(NumericError):
+        memo.next_dist([1, 2], [])
+    assert memo.next_dist([1, 2], []) is answer
+    assert memo.next_dist((1, 2), ()) is answer
+    assert queries == [((1, 2), ()), ((1, 2), ())]
 
 
 def test_sweep_spec_validation():
@@ -103,6 +235,20 @@ def test_divergence_report_file(tmp_path):
     # matrix rows label reference target tokens
     first_row = lines[lines.index(header) + 1]
     assert first_row.split(",")[0] == vocab.token(pairs[0].target[0])
+
+
+def test_divergence_matrix_asks_each_probe_once():
+    vocab, pairs, _ = copy_world(n_range=(5, 7), n_pairs=3)
+    model = MicroModel(vocab, d=8, max_len=16, mode=BIDIRECTIONAL, seed=6)
+    for pair in pairs:
+        counting = CountingModel(model)
+        got = divergence_matrix(counting, vocab, pair, suffix_from_name("eos", vocab))
+        t_len, n = len(pair.target), len(pair.source)
+        want = [[psfuture_divergence(model, pair.source[:g], pair.target[:t], (vocab.eos,))
+                 for g in range(1, n + 1)] for t in range(t_len)]
+        assert np.array_equal(got.values, np.array(want))
+        # the pseudo probe at g = N - 1 (x_<N plus EOS) is the plain probe at g = N
+        assert counting.forwards == 2 * t_len * n - t_len
 
 
 # -- CLI ----------------------------------------------------------------------------
