@@ -12,7 +12,6 @@ from .core import (
     PolicyConfig,
     READ,
     SentencePair,
-    StreamState,
     Vocabulary,
     WRITE,
     build_vocabulary,
@@ -27,12 +26,10 @@ from .micro import BIDIRECTIONAL, MicroModel, UNIDIRECTIONAL, sgd_step
 from .modelio import load_model, save_model
 from .policy import (
     DivergenceMatrix,
-    ExternalSuffix,
     FixedSuffix,
     OracleSuffix,
     RandomSuffix,
     cosine_divergence,
-    decide,
     divergence_matrix,
     make_suffix,
     psfuture_divergence,

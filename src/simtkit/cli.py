@@ -44,6 +44,20 @@ def _r_max(text: str):
     return None if text == "unbounded" else int(text)
 
 
+def _add_suffix_flags(parser, suffix_help=None) -> None:
+    parser.add_argument("--suffix", default="eos", help=suffix_help)
+    parser.add_argument("--suffix-tokens")
+    parser.add_argument("--random-count", type=int, default=4)
+    parser.add_argument("--random-top-k", type=int, default=200)
+
+
+def _suffix_spec(args, vocab):
+    return suffix_from_name(
+        args.suffix, vocab,
+        tokens=args.suffix_tokens.split() if args.suffix_tokens else None,
+        random_count=args.random_count, random_top_k=args.random_top_k)
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="simtkit", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -85,10 +99,7 @@ def build_parser() -> _Parser:
     s.add_argument("--src", help="corpus file to pick a sentence from")
     s.add_argument("--index", type=int, default=0)
     s.add_argument("--lambda", dest="lam", type=float, default=0.2)
-    s.add_argument("--suffix", default="eos")
-    s.add_argument("--suffix-tokens")
-    s.add_argument("--random-count", type=int, default=4)
-    s.add_argument("--random-top-k", type=int, default=200)
+    _add_suffix_flags(s)
     s.add_argument("--r-max", type=_r_max, default=None)
     s.add_argument("--initial-prefix", type=int, default=2)
     s.add_argument("--max-target-len", type=int, default=64)
@@ -98,10 +109,7 @@ def build_parser() -> _Parser:
     w = sub.add_parser("sweep", help="latency/quality curve over a corpus")
     w.add_argument("--policy", required=True, choices=["psfuture", "waitk"])
     w.add_argument("--lambda", dest="lambdas", type=_floats, default=())
-    w.add_argument("--suffix", default="eos", help="comma-separated suffix names")
-    w.add_argument("--suffix-tokens")
-    w.add_argument("--random-count", type=int, default=4)
-    w.add_argument("--random-top-k", type=int, default=200)
+    _add_suffix_flags(w, "comma-separated suffix names")
     w.add_argument("--k", dest="ks", type=_ints, default=())
     w.add_argument("--model", required=True)
     w.add_argument("--src", required=True)
@@ -118,10 +126,7 @@ def build_parser() -> _Parser:
     d.add_argument("--src", required=True)
     d.add_argument("--tgt", required=True)
     d.add_argument("--index", type=int, default=0)
-    d.add_argument("--suffix", default="eos")
-    d.add_argument("--suffix-tokens")
-    d.add_argument("--random-count", type=int, default=4)
-    d.add_argument("--random-top-k", type=int, default=200)
+    _add_suffix_flags(d)
     d.add_argument("--lambda", dest="lam", type=float, default=0.2)
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--out", required=True)
@@ -257,10 +262,7 @@ def _cmd_simulate(args) -> int:
         source = encode_sentence(lines[args.index], vocab)
     else:
         raise ValueError("simulate needs --sentence or --src")
-    suffix = suffix_from_name(
-        args.suffix, vocab,
-        tokens=args.suffix_tokens.split() if args.suffix_tokens else None,
-        random_count=args.random_count, random_top_k=args.random_top_k)
+    suffix = _suffix_spec(args, vocab)
     cfg = PolicyConfig(lam=args.lam, r_max=args.r_max,
                        initial_prefix=args.initial_prefix,
                        max_target_len=args.max_target_len)
@@ -317,10 +319,7 @@ def _cmd_divergence(args) -> int:
     _, pairs = load_parallel_corpus(args.src, args.tgt, vocab=vocab)
     if not (0 <= args.index < len(pairs)):
         raise ValueError(f"--index {args.index} outside corpus of {len(pairs)}")
-    suffix = suffix_from_name(
-        args.suffix, vocab,
-        tokens=args.suffix_tokens.split() if args.suffix_tokens else None,
-        random_count=args.random_count, random_top_k=args.random_top_k)
+    suffix = _suffix_spec(args, vocab)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, args.index]))
     emit_divergence_report(model, vocab, pairs[args.index], suffix, args.lam,
                            args.out, rng=rng)

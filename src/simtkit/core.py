@@ -93,6 +93,8 @@ class Vocabulary:
         """Ids of the ``top_k`` most frequent ranked tokens, best rank first."""
         if self.freq_rank is None:
             raise ConfigError("vocabulary has no frequency ranks")
+        if top_k < 1:
+            raise ConfigError(f"top_k={top_k} must be >= 1")
         if top_k > len(self.freq_rank):
             raise ConfigError(
                 f"top_k={top_k} exceeds {len(self.freq_rank)} ranked tokens")
@@ -251,42 +253,6 @@ class PolicyConfig:
             raise ConfigError("max_target_len must be >= 1")
         if self.r_max is not None and self.r_max < 1:
             raise ConfigError("r_max must be >= 1 or None (unbounded)")
-
-
-class StreamState:
-    """Cursor state of one in-flight simultaneous decoding session.
-
-    ``j`` counts consumed source tokens, ``emitted`` starts with BOS, and
-    ``g_record[t]`` is the value of ``j`` when the t-th target token was
-    written. ``j`` and ``g_record`` are monotone by construction.
-    """
-
-    __slots__ = ("n_source", "j", "emitted", "r_c", "g_record")
-
-    def __init__(self, n_source: int, initial_prefix: int, bos: int):
-        if n_source < 1:
-            raise ConfigError("source must contain at least one token")
-        self.n_source = n_source
-        self.j = min(initial_prefix, n_source)
-        self.emitted: list[int] = [bos]
-        self.r_c = 1  # the initial prefix counts as one continuous read
-        self.g_record: list[int] = []
-
-    @property
-    def target_prefix(self) -> tuple[int, ...]:
-        """Committed target tokens without the BOS sentinel."""
-        return tuple(self.emitted[1:])
-
-    def read(self) -> None:
-        if self.j >= self.n_source:
-            raise ConfigError("cannot read past the end of the source")
-        self.j += 1
-        self.r_c += 1
-
-    def write(self, token: int) -> None:
-        self.emitted.append(token)
-        self.g_record.append(self.j)
-        self.r_c = 0
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -34,9 +34,7 @@ from .core import (
     PolicyConfig,
     READ,
     WRITE,
-    StreamState,
     Vocabulary,
-    decode_sentence,
 )
 
 # force-reason codes carried by trace records
@@ -85,14 +83,7 @@ class OracleSuffix:
     name: str = "oracle"
 
 
-@dataclass(frozen=True)
-class ExternalSuffix:
-    """Delegates to a provider(prefix_text, vocab) -> token strings."""
-    provider: Callable[[str, Vocabulary], Sequence[str]]
-    name: str = "external"
-
-
-SuffixSpec = Union[FixedSuffix, RandomSuffix, OracleSuffix, ExternalSuffix]
+SuffixSpec = Union[FixedSuffix, RandomSuffix, OracleSuffix]
 
 
 def suffix_from_name(name: str, vocab: Vocabulary,
@@ -103,7 +94,8 @@ def suffix_from_name(name: str, vocab: Vocabulary,
 
     Named fixed suffixes: ``eos``, ``unk-eos``, ``ellipsis-eos``; ``random``
     and ``oracle`` are keywords; ``custom`` uses ``tokens`` (OOV mapped to
-    UNK, EOS appended when missing).
+    UNK, EOS appended when missing). ``random`` needs ``random_count`` >= 1
+    and ``random_top_k`` within the vocabulary's ranked tokens.
     """
     if name == "eos":
         return FixedSuffix((vocab.eos,), name="eos")
@@ -112,6 +104,11 @@ def suffix_from_name(name: str, vocab: Vocabulary,
     if name == "ellipsis-eos":
         return FixedSuffix((vocab.id("..."), vocab.eos), name="ellipsis-eos")
     if name == "random":
+        # checked here, so a sweep fails before its first cell, not at its
+        # first random cell
+        if random_count < 1:
+            raise ConfigError(f"random suffix count {random_count} must be >= 1")
+        vocab.top_ranked_ids(random_top_k)  # raises when top_k is out of range
         return RandomSuffix(count=random_count, top_k=random_top_k)
     if name == "oracle":
         return OracleSuffix()
@@ -150,16 +147,6 @@ def make_suffix(
         if j >= len(full_source):
             raise ConfigError("oracle suffix undefined once the source is exhausted")
         return tuple(full_source[j:])
-    if isinstance(spec, ExternalSuffix):
-        prefix_text = " ".join(decode_sentence(full_source[:j], vocab, strip_eos=False)) \
-            if full_source is not None else ""
-        produced = spec.provider(prefix_text, vocab)
-        if not produced:
-            raise ConfigError("external suffix provider returned an empty sequence")
-        ids = tuple(vocab.id(t) for t in produced)
-        if ids[-1] != vocab.eos:
-            raise ConfigError("external suffix must end with EOS")
-        return ids
     raise ConfigError(f"unknown suffix spec {spec!r}")
 
 
@@ -199,28 +186,6 @@ def psfuture_divergence(model, source_prefix, target_prefix, suffix) -> float:
     return cosine_divergence(part, pseudo)
 
 
-@dataclass(frozen=True)
-class Intent:
-    write: bool
-    reason: str | None = None  # THRESHOLD / RMAX / EXHAUSTED for writes
-
-
-def decide(divergence: float | None, cfg: PolicyConfig, r_c: int,
-           source_exhausted: bool) -> Intent:
-    """Write intent iff divergence <= lambda, r_c >= r_max, or the source is done.
-
-    Forced conditions are checked first so callers may skip computing the
-    divergence (passing None) when a write is already forced.
-    """
-    if source_exhausted:
-        return Intent(True, EXHAUSTED)
-    if cfg.r_max is not None and r_c >= cfg.r_max:
-        return Intent(True, RMAX)
-    if divergence is not None and divergence <= cfg.lam:
-        return Intent(True, THRESHOLD)
-    return Intent(False)
-
-
 @dataclass
 class SimulationResult:
     hypothesis: tuple[int, ...]   # committed tokens, EOS last unless truncated
@@ -239,6 +204,10 @@ def simulate_sentence(
 ) -> SimulationResult:
     """Run the adaptive read/write loop over one source sentence.
 
+    Each decision asks the model once for the plain next-token distribution,
+    which both measures the divergence and supplies the written token. Only
+    an unforced decision draws a suffix and asks the pseudo probe.
+
     The trace holds one record per decision: kind R/W, the cursor at
     decision time, the divergence when one was computed, the force reason
     for writes, and the emitted token id for writes.
@@ -248,58 +217,65 @@ def simulate_sentence(
         raise ConfigError("source must be non-empty and end with EOS")
 
     n = len(source)
-    state = StreamState(n, cfg.initial_prefix, vocab.bos)
+    j = min(cfg.initial_prefix, n)   # consumed source tokens
+    r_c = 1  # consecutive reads; the initial prefix counts as one
+    hyp: tuple[int, ...] = ()
+    g_record: list[int] = []         # j at the time of each write
     trace: list[dict] = []
     truncated = False
-    step = 0
 
-    while state.emitted[-1] != vocab.eos:
-        if len(state.g_record) >= cfg.max_target_len:
+    while not hyp or hyp[-1] != vocab.eos:
+        if len(hyp) >= cfg.max_target_len:
             truncated = True
             break
-        step += 1
-        exhausted = state.j >= n
+        plain = model.next_dist(source[:j], hyp)
         divergence = None
-        if not exhausted and (cfg.r_max is None or state.r_c < cfg.r_max):
-            suffix = make_suffix(suffix_spec, vocab, rng, full_source=source, j=state.j)
-            divergence = psfuture_divergence(
-                model, source[:state.j], state.target_prefix, suffix)
-        intent = decide(divergence, cfg, state.r_c, exhausted)
+        if j >= n:
+            reason = EXHAUSTED
+        elif cfg.r_max is not None and r_c >= cfg.r_max:
+            reason = RMAX
+        else:
+            suffix = make_suffix(suffix_spec, vocab, rng, full_source=source, j=j)
+            pseudo = model.next_dist(source[:j] + tuple(suffix), hyp)
+            divergence = cosine_divergence(plain, pseudo)
+            reason = THRESHOLD if divergence <= cfg.lam else None
+        token = plain.argmax()
+        premature_eos = token == vocab.eos and j < n
+        step = len(trace) + 1
 
-        if not intent.write:
-            trace.append({"step": step, "kind": READ, "j": state.j,
-                          "divergence": divergence})
-            state.read()
+        if reason is None or (reason == THRESHOLD and premature_eos):
+            # a read; the EOS guard turns a THRESHOLD write of a premature
+            # EOS into one
+            record = {"step": step, "kind": READ, "j": j}
+            if reason is not None:
+                record["reason"] = EOS_DEFERRED
+            record["divergence"] = divergence
+            trace.append(record)
+            j += 1
+            r_c += 1
             continue
 
-        dist = model.next_dist(source[:state.j], state.target_prefix)
-        token = dist.argmax()
-        record = {"step": step, "kind": WRITE, "j": state.j, "reason": intent.reason}
-        if intent.reason == THRESHOLD:
+        record = {"step": step, "kind": WRITE, "j": j, "reason": reason}
+        if reason == THRESHOLD:
             record["divergence"] = divergence
-        if token != vocab.eos or state.j >= n:
-            record["token"] = token
-            trace.append(record)
-            state.write(token)
-        elif intent.reason == RMAX:
-            # forced write: committing a premature EOS would truncate the
+        if premature_eos:
+            # an RMAX write: committing a premature EOS would truncate the
             # sentence, and reading would breach the r_max cap, so emit the
             # best non-EOS token instead
-            masked = dist.probs.copy()
+            masked = plain.probs.copy()
             masked[vocab.eos] = -1.0
-            token = int(np.argmax(masked))
-            record["token"] = token
+            record["token"] = int(np.argmax(masked))
             record["swapped_eos"] = True
-            trace.append(record)
-            state.write(token)
         else:
-            trace.append({"step": step, "kind": READ, "j": state.j,
-                          "reason": EOS_DEFERRED, "divergence": divergence})
-            state.read()
+            record["token"] = token
+        trace.append(record)
+        hyp += (record["token"],)
+        g_record.append(j)
+        r_c = 0
 
     return SimulationResult(
-        hypothesis=state.target_prefix,
-        g_record=tuple(state.g_record),
+        hypothesis=hyp,
+        g_record=tuple(g_record),
         trace=trace,
         truncated=truncated,
     )

@@ -8,7 +8,6 @@ from simtkit import (
     Distribution,
     PolicyConfig,
     SentencePair,
-    StreamState,
     Vocabulary,
     build_vocabulary,
     load_parallel_corpus,
@@ -65,8 +64,11 @@ def test_top_ranked_ids_ordering_and_bounds():
     vocab = build_vocabulary([["x"] * 3 + ["y"] * 2 + ["z"]])
     ids = vocab.top_ranked_ids(2)
     assert [vocab.token(i) for i in ids] == ["x", "y"]
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="top_k=99 exceeds 3 ranked tokens"):
         vocab.top_ranked_ids(99)
+    for bad in (0, -1):  # -1 would otherwise slice off the last ranked token
+        with pytest.raises(ConfigError, match=f"top_k={bad} must be >= 1"):
+            vocab.top_ranked_ids(bad)
 
 
 def test_vocab_invariants_enforced():
@@ -126,46 +128,6 @@ def test_policy_config_validation():
         PolicyConfig(max_target_len=0)
     with pytest.raises(ConfigError):
         PolicyConfig(r_max=0)
-
-
-# -- stream state -----------------------------------------------------------
-
-def test_stream_state_basic_session():
-    st_ = StreamState(n_source=4, initial_prefix=2, bos=0)
-    assert st_.j == 2 and st_.r_c == 1 and st_.emitted == [0]
-    st_.read()
-    st_.write(7)
-    assert st_.g_record == [3] and st_.r_c == 0
-    st_.read()
-    with pytest.raises(ConfigError):
-        st_.read()  # j already at N
-
-
-def test_stream_state_clamps_initial_prefix():
-    st_ = StreamState(n_source=1, initial_prefix=5, bos=0)
-    assert st_.j == 1
-
-
-@given(st.lists(st.sampled_from(["R", "W"]), max_size=40))
-def test_stream_state_monotonicity_under_random_decisions(kinds):
-    state = StreamState(n_source=6, initial_prefix=2, bos=0)
-    seen_j = [state.j]
-    writes = 0
-    for kind in kinds:
-        if kind == "R":
-            if state.j >= state.n_source:
-                with pytest.raises(ConfigError):
-                    state.read()
-                continue
-            state.read()
-        else:
-            state.write(3)
-            writes += 1
-        seen_j.append(state.j)
-    assert seen_j == sorted(seen_j)
-    assert list(state.g_record) == sorted(state.g_record)
-    assert len(state.g_record) == writes
-    assert 1 <= state.j <= state.n_source
 
 
 # -- corpus file I/O ----------------------------------------------------------

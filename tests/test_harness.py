@@ -113,6 +113,21 @@ def test_sweep_checks_lengths_before_the_first_cell():
         run_sweep(model, vocab, pairs, SweepSpec(policy="waitk", ks=(3,), max_target_len=16))
 
 
+def test_sweep_checks_the_random_suffix_before_the_first_cell():
+    vocab, pairs, model = copy_world()
+    counting = CountingModel(model)
+    n_ranked = len(vocab.freq_rank)
+    # the eos cells would run first; the random suffix is checked when named
+    for knobs, message in (({}, f"top_k=200 exceeds {n_ranked} ranked tokens"),
+                           ({"random_count": 0, "random_top_k": n_ranked},
+                            "random suffix count 0 must be >= 1")):
+        spec = SweepSpec(policy="psfuture", lambdas=(0.1,), suffixes=("eos", "random"),
+                         **knobs)
+        with pytest.raises(ConfigError, match=message):
+            run_sweep(counting, vocab, pairs, spec)
+    assert counting.forwards == 0
+
+
 def test_sweep_failure_names_the_sentence():
     vocab, pairs, model = long_source_world()
     # a model that declares no max_len gets no pre-flight; lambda -1 reads the

@@ -8,7 +8,6 @@ import simtkit as sk
 from simtkit import (
     ConfigError,
     Distribution,
-    ExternalSuffix,
     FixedSuffix,
     MicroModel,
     OracleSuffix,
@@ -16,7 +15,6 @@ from simtkit import (
     RandomSuffix,
     TableModel,
     cosine_divergence,
-    decide,
     divergence_matrix,
     make_suffix,
     psfuture_divergence,
@@ -119,35 +117,17 @@ def test_random_suffix_requires_an_rng():
         divergence_matrix(model, vocab, pair, spec)
 
 
-def test_external_suffix_contract():
-    vocab = make_vocab()
-
-    def echo(text):
-        return ExternalSuffix(provider=lambda _prefix, _vocab: text.split())
-
-    ids = make_suffix(echo("w0 mystery <eos>"), vocab, full_source=(3, 4, 1), j=2)
-    assert ids == (3, vocab.unk, vocab.eos)  # OOV token mapped to UNK
-    with pytest.raises(ConfigError):
-        make_suffix(echo(""), vocab)
-    with pytest.raises(ConfigError):
-        make_suffix(echo("w0 w1"), vocab)
-
-
-# -- decide ---------------------------------------------------------------------
-
-def test_decide_threshold_rmax_exhausted():
-    cfg = PolicyConfig(lam=0.2, r_max=4)
-    d = decide(0.1, cfg, r_c=0, source_exhausted=False)
-    assert d.write and d.reason == THRESHOLD
-    d = decide(0.5, cfg, r_c=3, source_exhausted=False)
-    assert not d.write
-    d = decide(0.5, cfg, r_c=4, source_exhausted=False)
-    assert d.write and d.reason == RMAX
-    d = decide(None, cfg, r_c=0, source_exhausted=True)
-    assert d.write and d.reason == EXHAUSTED
-    # boundary: comparison is <= (the executable procedure), not strict <
-    d = decide(0.2, cfg, r_c=0, source_exhausted=False)
-    assert d.write and d.reason == THRESHOLD
+def test_random_suffix_checked_when_named():
+    corpus = [[f"t{i}"] * (20 - i) for i in range(7)]
+    vocab = sk.build_vocabulary(corpus)
+    assert suffix_from_name("random", vocab, random_count=1, random_top_k=7) == \
+        RandomSuffix(count=1, top_k=7)
+    with pytest.raises(ConfigError, match="random suffix count 0 must be >= 1"):
+        suffix_from_name("random", vocab, random_count=0, random_top_k=7)
+    with pytest.raises(ConfigError, match="top_k=200 exceeds 7 ranked tokens"):
+        suffix_from_name("random", vocab)
+    with pytest.raises(ConfigError, match="top_k=0 must be >= 1"):
+        suffix_from_name("random", vocab, random_top_k=0)
 
 
 # -- the adaptive loop -----------------------------------------------------------
@@ -226,6 +206,93 @@ def test_source_blind_model_writes_continuously():
     assert all(r["divergence"] == 0.0 for r in sim.trace if "divergence" in r)
     assert sim.truncated and len(sim.hypothesis) == 10
     assert sim.g_record == tuple([2] * 10)
+
+
+def test_threshold_boundary_writes_at_equality():
+    # divergence is exactly 0.0, so lambda = 0.0 writes only under `<=`
+    vocab = make_vocab()
+    model = _SourceBlindModel(len(vocab), peak=4)
+    cfg = PolicyConfig(lam=0.0, r_max=None, initial_prefix=2, max_target_len=3)
+    sim = simulate_sentence(model, vocab, cfg, suffix_from_name("eos", vocab),
+                            (3, 4, 5, 1))
+    assert [(r["kind"], r["reason"], r["divergence"]) for r in sim.trace] == \
+        [("W", THRESHOLD, 0.0)] * 3
+    assert sim.g_record == (2, 2, 2)
+
+
+def test_rmax_forces_writes_in_the_trace():
+    vocab, pairs, model = _copy_setup(6, seed=3)
+    pair = pairs[0]
+    cfg = PolicyConfig(lam=-1.0, r_max=2, initial_prefix=2, max_target_len=16)
+    sim = simulate_sentence(model, vocab, cfg, suffix_from_name("eos", vocab),
+                            pair.source)
+    assert [(r["kind"], r.get("reason")) for r in sim.trace] == [
+        ("R", None), ("W", RMAX), ("R", None), ("R", None), ("W", RMAX),
+        ("R", None)] + [("W", EXHAUSTED)] * 4
+    assert all(r["divergence"] > cfg.lam for r in sim.trace if r["kind"] == "R")
+    assert all("divergence" not in r for r in sim.trace if r["kind"] == "W")
+    assert sim.g_record == (3, 5, 6, 6, 6, 6)
+    assert sim.hypothesis == pair.target
+
+
+def test_initial_prefix_is_clamped_and_never_reads_past_the_source():
+    vocab = make_vocab()
+    cfg = PolicyConfig(lam=0.5, initial_prefix=5, max_target_len=3)
+    eos_only = suffix_from_name("eos", vocab)
+    sim = simulate_sentence(_SourceBlindModel(len(vocab), peak=vocab.eos), vocab,
+                            cfg, eos_only, (vocab.eos,))
+    assert sim.trace == [{"step": 1, "kind": "W", "j": 1, "reason": EXHAUSTED,
+                          "token": vocab.eos}]
+    assert sim.g_record == (1,) and not sim.truncated
+    sim = simulate_sentence(_SourceBlindModel(len(vocab), peak=4), vocab, cfg,
+                            eos_only, (3, 1))
+    assert [(r["kind"], r["j"], r["reason"]) for r in sim.trace] == [("W", 2, EXHAUSTED)] * 3
+    assert sim.g_record == (2, 2, 2) and sim.truncated
+
+
+class _QueryLog:
+    """Records every query sent to a model; no memo."""
+
+    def __init__(self, model):
+        self.model = model
+        self.queries = []
+
+    def next_dist(self, source_prefix, target_prefix):
+        self.queries.append((tuple(source_prefix), tuple(target_prefix)))
+        return self.model.next_dist(source_prefix, target_prefix)
+
+
+@pytest.mark.parametrize("suffix_name", ["eos", "oracle", "random"])
+def test_each_decision_asks_the_plain_probe_once(suffix_name):
+    corpus = [[f"w{i}"] * (20 - i) for i in range(8)]
+    vocab = sk.build_vocabulary(corpus)
+    suffix = suffix_from_name(suffix_name, vocab, random_count=2, random_top_k=8)
+    reasons = set()
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        model = _QueryLog(HashedModel(len(vocab), seed=seed))
+        source = tuple(int(x) for x in rng.integers(3, len(vocab), size=7)) + (vocab.eos,)
+        cfg = PolicyConfig(lam=float(rng.uniform(0.0, 0.3)),
+                           r_max=(None, 2, 3)[seed % 3], max_target_len=12)
+        sim = simulate_sentence(model, vocab, cfg, suffix, source, rng=rng)
+        # walk the trace: each decision asks (x_<=j, y) once, then the pseudo
+        # probe (x_<=j + suffix, y) unless the write was forced
+        queries = iter(model.queries)
+        hyp = ()
+        for rec in sim.trace:
+            j = rec["j"]
+            assert next(queries) == (source[:j], hyp)
+            reason = rec.get("reason")
+            reasons.add(reason)
+            if reason not in (RMAX, EXHAUSTED):
+                pseudo_source, pseudo_target = next(queries)
+                assert pseudo_source[:j] == source[:j] and len(pseudo_source) > j
+                assert pseudo_target == hyp
+            if rec["kind"] == "W":
+                hyp += (rec["token"],)
+        assert next(queries, None) is None
+        assert hyp == sim.hypothesis
+    assert reasons == {None, THRESHOLD, "EOS_DEFERRED", RMAX, EXHAUSTED}
 
 
 def test_divergence_deterministic_across_runs():
