@@ -9,6 +9,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -16,12 +17,12 @@ import numpy as np
 
 from .core import PolicyConfig, load_parallel_corpus, decode_sentence, encode_sentence
 from .metrics import EvalResult, average_lagging, corpus_bleu, hallucination_rate
-from .micro import BIDIRECTIONAL, UNIDIRECTIONAL, MicroModel
+from .micro import MODES, UNIDIRECTIONAL, MicroModel
 from .modelio import load_model, save_model
-from .policy import suffix_from_name, simulate_sentence
-from .sweep import SweepSpec, emit_divergence_report, run_sweep, sweep_csv_lines
-from .synthetic import SyntheticSpec, generate_corpus
-from .training import TrainConfig, train
+from .policy import RandomSuffix, suffix_from_name, simulate_sentence
+from .sweep import POLICIES, SweepSpec, emit_divergence_report, run_sweep, sweep_csv_lines
+from .synthetic import KINDS, SyntheticSpec, generate_corpus
+from .training import REGIMES, TrainConfig, train
 from . import core
 
 
@@ -45,10 +46,16 @@ def _r_max(text: str):
 
 
 def _add_suffix_flags(parser, suffix_help=None) -> None:
-    parser.add_argument("--suffix", default="eos", help=suffix_help)
+    parser.add_argument("--suffix", default=",".join(SweepSpec.suffixes), help=suffix_help)
     parser.add_argument("--suffix-tokens")
-    parser.add_argument("--random-count", type=int, default=4)
-    parser.add_argument("--random-top-k", type=int, default=200)
+    parser.add_argument("--random-count", type=int, default=RandomSuffix.count)
+    parser.add_argument("--random-top-k", type=int, default=RandomSuffix.top_k)
+
+
+def _add_loop_flags(parser) -> None:
+    parser.add_argument("--r-max", type=_r_max, default=PolicyConfig.r_max)
+    parser.add_argument("--initial-prefix", type=int, default=PolicyConfig.initial_prefix)
+    parser.add_argument("--max-target-len", type=int, default=PolicyConfig.max_target_len)
 
 
 def _suffix_spec(args, vocab):
@@ -58,19 +65,38 @@ def _suffix_spec(args, vocab):
         random_count=args.random_count, random_top_k=args.random_top_k)
 
 
+# train's config-file keys and the add_argument keywords of their flags
+_TRAIN_FLAGS = {
+    "regime": {"choices": REGIMES},
+    "ratio_r": {"type": float},
+    "k_choices": {"type": _ints},
+    "epochs": {"type": int},
+    "batch_size": {"type": int},
+    "lr": {"type": float},
+    "seed": {"type": int},
+    "src": {},
+    "tgt": {},
+    "checkpoint": {},
+    "curve": {"help": "loss curve CSV output path"},
+    "d": {"type": int},
+    "max_len": {"type": int},
+    "mode": {"choices": MODES},
+}
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="simtkit", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen-corpus", parents=[], help="generate a synthetic corpus",
-                       add_help=True)
-    g.add_argument("--kind", required=True, choices=["copy", "local-swap", "tail-first"])
-    g.add_argument("--vocab-size", type=int, default=10)
-    g.add_argument("--len-min", type=int, default=5, help="min length incl. EOS")
-    g.add_argument("--len-max", type=int, default=9, help="max length incl. EOS")
-    g.add_argument("--n-pairs", type=int, default=50)
-    g.add_argument("--window", type=int, default=2)
-    g.add_argument("--seed", type=int, default=0)
+    g = sub.add_parser("gen-corpus", help="generate a synthetic corpus")
+    g.add_argument("--kind", required=True, choices=[k.replace("_", "-") for k in KINDS])
+    g.add_argument("--vocab-size", type=int, default=SyntheticSpec.vocab_size)
+    len_min, len_max = SyntheticSpec.n_range
+    g.add_argument("--len-min", type=int, default=len_min, help="min length incl. EOS")
+    g.add_argument("--len-max", type=int, default=len_max, help="max length incl. EOS")
+    g.add_argument("--n-pairs", type=int, default=SyntheticSpec.n_pairs)
+    g.add_argument("--window", type=int, default=SyntheticSpec.window)
+    g.add_argument("--seed", type=int, default=SyntheticSpec.seed)
     g.add_argument("--out-src", required=True)
     g.add_argument("--out-tgt", required=True)
     g.add_argument("--out-align")
@@ -78,47 +104,31 @@ def build_parser() -> _Parser:
 
     t = sub.add_parser("train", help="train a micro model")
     t.add_argument("--config", help="key=value config file; flags override it")
-    t.add_argument("--regime", choices=["offline", "multipath", "p2f"])
-    t.add_argument("--ratio-r", type=float)
-    t.add_argument("--k-choices", type=_ints)
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--batch-size", type=int)
-    t.add_argument("--lr", type=float)
-    t.add_argument("--seed", type=int)
-    t.add_argument("--src")
-    t.add_argument("--tgt")
-    t.add_argument("--checkpoint")
-    t.add_argument("--curve", help="loss curve CSV output path")
-    t.add_argument("--d", type=int)
-    t.add_argument("--max-len", type=int)
-    t.add_argument("--mode", choices=[BIDIRECTIONAL, UNIDIRECTIONAL])
+    for key, kwargs in _TRAIN_FLAGS.items():
+        t.add_argument("--" + key.replace("_", "-"), **kwargs)
 
     s = sub.add_parser("simulate", help="trace one adaptive decoding session")
     s.add_argument("--model", required=True)
     s.add_argument("--sentence", help="space-separated source tokens (no EOS)")
     s.add_argument("--src", help="corpus file to pick a sentence from")
     s.add_argument("--index", type=int, default=0)
-    s.add_argument("--lambda", dest="lam", type=float, default=0.2)
+    s.add_argument("--lambda", dest="lam", type=float, default=PolicyConfig.lam)
     _add_suffix_flags(s)
-    s.add_argument("--r-max", type=_r_max, default=None)
-    s.add_argument("--initial-prefix", type=int, default=2)
-    s.add_argument("--max-target-len", type=int, default=64)
+    _add_loop_flags(s)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", help="trace JSONL output (default stdout)")
 
     w = sub.add_parser("sweep", help="latency/quality curve over a corpus")
-    w.add_argument("--policy", required=True, choices=["psfuture", "waitk"])
-    w.add_argument("--lambda", dest="lambdas", type=_floats, default=())
+    w.add_argument("--policy", required=True, choices=POLICIES)
+    w.add_argument("--lambda", dest="lambdas", type=_floats, default=SweepSpec.lambdas)
     _add_suffix_flags(w, "comma-separated suffix names")
-    w.add_argument("--k", dest="ks", type=_ints, default=())
+    w.add_argument("--k", dest="ks", type=_ints, default=SweepSpec.ks)
     w.add_argument("--model", required=True)
     w.add_argument("--src", required=True)
     w.add_argument("--tgt", required=True)
     w.add_argument("--align")
-    w.add_argument("--r-max", type=_r_max, default=None)
-    w.add_argument("--initial-prefix", type=int, default=2)
-    w.add_argument("--max-target-len", type=int, default=64)
-    w.add_argument("--seed", type=int, default=0)
+    _add_loop_flags(w)
+    w.add_argument("--seed", type=int, default=SweepSpec.seed)
     w.add_argument("--out", required=True)
 
     d = sub.add_parser("divergence", help="divergence matrix for one pair")
@@ -127,7 +137,7 @@ def build_parser() -> _Parser:
     d.add_argument("--tgt", required=True)
     d.add_argument("--index", type=int, default=0)
     _add_suffix_flags(d)
-    d.add_argument("--lambda", dest="lam", type=float, default=0.2)
+    d.add_argument("--lambda", dest="lam", type=float, default=PolicyConfig.lam)
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--out", required=True)
 
@@ -200,50 +210,33 @@ def _read_config_file(path) -> dict:
     return out
 
 
-_TRAIN_DEFAULTS = {
-    "regime": "offline", "ratio_r": 0.5, "k_choices": (1, 3, 5, 7, 9),
-    "epochs": 10, "batch_size": 16, "lr": 0.05, "seed": 0,
-    "d": 32, "max_len": 64, "mode": None, "src": None, "tgt": None,
-    "checkpoint": None, "curve": None,
-}
-_TRAIN_PARSERS = {
-    "ratio_r": float, "epochs": int, "batch_size": int, "lr": float,
-    "seed": int, "d": int, "max_len": int, "k_choices": _ints,
-}
-
-
 def _cmd_train(args) -> int:
-    # precedence: CLI flag > config file > default
-    merged = dict(_TRAIN_DEFAULTS)
+    # precedence: CLI flag > config file > TrainConfig/MicroModel default
+    given = {}
     if args.config:
         for key, raw in _read_config_file(args.config).items():
             if key == "r":  # documented short name for the mixing ratio
                 key = "ratio_r"
-            if key not in merged:
+            if key not in _TRAIN_FLAGS:
                 raise ValueError(f"unknown config key {key!r}")
-            merged[key] = _TRAIN_PARSERS.get(key, str)(raw)
-    for key in merged:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    if not merged["src"] or not merged["tgt"]:
+            given[key] = _TRAIN_FLAGS[key].get("type", str)(raw)
+    given.update((key, getattr(args, key)) for key in _TRAIN_FLAGS
+                 if getattr(args, key) is not None)
+    if not given.get("src") or not given.get("tgt"):
         raise ValueError("train requires --src and --tgt (or config keys src/tgt)")
 
-    vocab, pairs = load_parallel_corpus(merged["src"], merged["tgt"])
-    mode = merged["mode"] or (
-        UNIDIRECTIONAL if merged["regime"] == "multipath" else BIDIRECTIONAL)
-    model = MicroModel(vocab, d=merged["d"], max_len=merged["max_len"],
-                       mode=mode, seed=merged["seed"])
-    cfg = TrainConfig(
-        regime=merged["regime"], ratio_r=merged["ratio_r"],
-        k_choices=tuple(merged["k_choices"]), epochs=merged["epochs"],
-        batch_size=merged["batch_size"], lr=merged["lr"], seed=merged["seed"],
-    )
+    cfg = TrainConfig(**{f.name: given[f.name] for f in dataclasses.fields(TrainConfig)
+                         if f.name in given})
+    model_kwargs = {k: given[k] for k in ("d", "max_len", "mode", "seed") if k in given}
+    if cfg.regime == "multipath":  # wait-k training needs the causal encoder
+        model_kwargs.setdefault("mode", UNIDIRECTIONAL)
+    vocab, pairs = load_parallel_corpus(given["src"], given["tgt"])
+    model = MicroModel(vocab, **model_kwargs)
     result = train(model, pairs, cfg)
-    if merged["checkpoint"]:
-        save_model(model, merged["checkpoint"])
-    if merged["curve"]:
-        with open(merged["curve"], "w", encoding="utf-8") as fh:
+    if given.get("checkpoint"):
+        save_model(model, given["checkpoint"])
+    if given.get("curve"):
+        with open(given["curve"], "w", encoding="utf-8") as fh:
             fh.write("\n".join(result.curve_csv_lines()) + "\n")
     final = result.epoch_stats[-1].mean_loss if result.epoch_stats else float("nan")
     print(f"trained {cfg.epochs} epochs, final mean loss {final!r}")
@@ -263,9 +256,8 @@ def _cmd_simulate(args) -> int:
     else:
         raise ValueError("simulate needs --sentence or --src")
     suffix = _suffix_spec(args, vocab)
-    cfg = PolicyConfig(lam=args.lam, r_max=args.r_max,
-                       initial_prefix=args.initial_prefix,
-                       max_target_len=args.max_target_len)
+    cfg = PolicyConfig(**{f.name: getattr(args, f.name)
+                          for f in dataclasses.fields(PolicyConfig)})
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0]))
     sim = simulate_sentence(model, vocab, cfg, suffix, source, rng=rng)
 

@@ -1,4 +1,4 @@
-"""Shared domain types: vocabulary, sentence pairs, distributions, stream state.
+"""Shared domain types: vocabulary, sentence pairs, distributions, policy settings.
 
 Conventions used throughout the package:
   * token ids are dense integers 0..|V|-1; BOS/EOS/UNK are always present
@@ -19,7 +19,7 @@ import numpy as np
 
 DIST_TOL = 1e-9
 
-DEFAULT_SPECIALS = ("<bos>", "<eos>", "<unk>")
+SPECIALS = ("<bos>", "<eos>", "<unk>")
 
 
 class ConfigError(ValueError):
@@ -107,18 +107,13 @@ class Vocabulary:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def build_vocabulary(
-    corpus: Iterable[Sequence[str]],
-    specials: tuple[str, str, str] = DEFAULT_SPECIALS,
-) -> Vocabulary:
+def build_vocabulary(corpus: Iterable[Sequence[str]]) -> Vocabulary:
     """Build a vocabulary from tokenized sentences.
 
-    Specials occupy ids 0..2; remaining tokens follow in first-occurrence
+    ``SPECIALS`` occupy ids 0..2; remaining tokens follow in first-occurrence
     order. Frequency ranks come from corpus counts with ties broken by first
     occurrence; special tokens are excluded from the ranking.
     """
-    if len(set(specials)) != 3:
-        raise ConfigError(f"special tokens must be distinct, got {specials}")
     counts: Counter[str] = Counter()
     first_seen: dict[str, int] = {}
     n_sentences = 0
@@ -130,12 +125,12 @@ def build_vocabulary(
     if n_sentences == 0:
         raise ConfigError("cannot build a vocabulary from an empty corpus")
 
-    tokens = list(specials)
+    tokens = list(SPECIALS)
     for tok in sorted(first_seen, key=first_seen.__getitem__):
-        if tok not in specials:
+        if tok not in SPECIALS:
             tokens.append(tok)
 
-    ranked = [t for t in counts if t not in specials]
+    ranked = [t for t in counts if t not in SPECIALS]
     ranked.sort(key=lambda t: (-counts[t], first_seen[t]))
     freq_rank = {tok: r for r, tok in enumerate(ranked, start=1)}
     return Vocabulary(tokens=tuple(tokens), bos=0, eos=1, unk=2, freq_rank=freq_rank)
@@ -225,7 +220,7 @@ def validate_pair(pair: SentencePair, vocab: Vocabulary) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Policy configuration and decisions
+# Policy configuration
 # ---------------------------------------------------------------------------
 
 READ = "R"
@@ -248,11 +243,11 @@ class PolicyConfig:
 
     def __post_init__(self):
         if self.initial_prefix < 1:
-            raise ConfigError("initial_prefix must be >= 1")
+            raise ConfigError(f"initial_prefix={self.initial_prefix} must be >= 1")
         if self.max_target_len < 1:
-            raise ConfigError("max_target_len must be >= 1")
+            raise ConfigError(f"max_target_len={self.max_target_len} must be >= 1")
         if self.r_max is not None and self.r_max < 1:
-            raise ConfigError("r_max must be >= 1 or None (unbounded)")
+            raise ConfigError(f"r_max={self.r_max} must be >= 1 or None (unbounded)")
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +267,10 @@ def encode_sentence(tokens: Sequence[str], vocab: Vocabulary) -> tuple[int, ...]
     return tuple(vocab.id(t) for t in tokens) + (vocab.eos,)
 
 
-def decode_sentence(ids: Sequence[int], vocab: Vocabulary, strip_eos: bool = True) -> list[str]:
+def decode_sentence(ids: Sequence[int], vocab: Vocabulary) -> list[str]:
+    """Tokens of ``ids``, without a final EOS."""
     out = [vocab.token(i) for i in ids]
-    if strip_eos and out and ids[-1] == vocab.eos:
+    if out and ids[-1] == vocab.eos:
         out = out[:-1]
     return out
 

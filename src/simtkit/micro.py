@@ -31,6 +31,8 @@ ATTN_BLOCKS = ("enc", "dec_self", "dec_cross")
 
 
 def tensor_shapes(n_vocab: int, d: int, max_len: int) -> dict[str, tuple[int, ...]]:
+    if d < 1 or max_len < 1:
+        raise ConfigError(f"d={d} and max_len={max_len} must both be >= 1")
     shapes: dict[str, tuple[int, ...]] = {
         "embed": (n_vocab, d),
         "pos": (max_len, d),

@@ -76,6 +76,10 @@ class RandomSuffix:
     top_k: int = 200
     name: str = "random"
 
+    def __post_init__(self):
+        if self.count < 1:
+            raise ConfigError(f"random suffix count {self.count} must be >= 1")
+
 
 @dataclass(frozen=True)
 class OracleSuffix:
@@ -88,8 +92,8 @@ SuffixSpec = Union[FixedSuffix, RandomSuffix, OracleSuffix]
 
 def suffix_from_name(name: str, vocab: Vocabulary,
                      tokens: Sequence[str] | None = None,
-                     random_count: int = 4,
-                     random_top_k: int = 200) -> SuffixSpec:
+                     random_count: int = RandomSuffix.count,
+                     random_top_k: int = RandomSuffix.top_k) -> SuffixSpec:
     """Resolve a registry name into a suffix spec.
 
     Named fixed suffixes: ``eos``, ``unk-eos``, ``ellipsis-eos``; ``random``
@@ -106,10 +110,9 @@ def suffix_from_name(name: str, vocab: Vocabulary,
     if name == "random":
         # checked here, so a sweep fails before its first cell, not at its
         # first random cell
-        if random_count < 1:
-            raise ConfigError(f"random suffix count {random_count} must be >= 1")
+        spec = RandomSuffix(count=random_count, top_k=random_top_k)
         vocab.top_ranked_ids(random_top_k)  # raises when top_k is out of range
-        return RandomSuffix(count=random_count, top_k=random_top_k)
+        return spec
     if name == "oracle":
         return OracleSuffix()
     if name == "custom":
@@ -135,8 +138,6 @@ def make_suffix(
             raise ConfigError("fixed suffix must end with EOS")
         return spec.tokens
     if isinstance(spec, RandomSuffix):
-        if spec.count < 1:
-            raise ConfigError("random suffix count must be >= 1")
         if rng is None:
             raise ConfigError("random suffix requires a seeded rng")
         pool = vocab.top_ranked_ids(spec.top_k)
@@ -297,12 +298,10 @@ def simulate_waitk(
     vocab: Vocabulary,
     k: int,
     source: Sequence[int],
-    max_target_len: int = 64,
+    max_target_len: int = PolicyConfig.max_target_len,
 ) -> SimulationResult:
     """Greedy decoding under the fixed wait-k schedule."""
     source = tuple(source)
-    if k < 1:
-        raise ConfigError("k must be >= 1")
     n = len(source)
     hyp: list[int] = []
     g_rec: list[int] = []

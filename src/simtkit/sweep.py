@@ -19,6 +19,7 @@ from .metrics import EvalResult, evaluate_run
 from .policy import (
     FixedSuffix,
     OracleSuffix,
+    RandomSuffix,
     _ProbeMemo,
     divergence_matrix,
     simulate_sentence,
@@ -28,23 +29,29 @@ from .policy import (
 )
 
 DEFAULT_LAMBDA_GRID = (0.02, 0.05, 0.08, 0.1, 0.2, 0.4)
+POLICIES = ("psfuture", "waitk")
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    policy: str                                  # "psfuture" | "waitk"
+    policy: str                                  # one of POLICIES
     lambdas: tuple[float, ...] = ()
     suffixes: tuple[str, ...] = ("eos",)
     suffix_tokens: tuple[str, ...] = ()          # for the "custom" suffix name
     ks: tuple[int, ...] = ()
-    r_max: int | None = None
-    initial_prefix: int = 2
-    max_target_len: int = 64
+    r_max: int | None = PolicyConfig.r_max
+    initial_prefix: int = PolicyConfig.initial_prefix
+    max_target_len: int = PolicyConfig.max_target_len
     seed: int = 0
-    random_count: int = 4      # random-suffix knobs
-    random_top_k: int = 200
+    random_count: int = RandomSuffix.count
+    random_top_k: int = RandomSuffix.top_k
 
     def __post_init__(self):
+        if self.policy not in POLICIES:
+            raise ConfigError(f"unknown policy {self.policy!r}")
+        self.policy_config()  # checks the loop settings, for wait-k too
+        if self.seed < 0:
+            raise ConfigError(f"seed={self.seed} must be >= 0")
         if self.policy == "psfuture":
             if not self.lambdas:
                 raise ConfigError("psfuture sweep requires a non-empty lambda list")
@@ -52,11 +59,14 @@ class SweepSpec:
                 raise ConfigError("lambda list must be sorted ascending")
             if not self.suffixes:
                 raise ConfigError("psfuture sweep requires at least one suffix")
-        elif self.policy == "waitk":
-            if not self.ks or any(k < 1 for k in self.ks):
-                raise ConfigError("waitk sweep requires positive k values")
-        else:
-            raise ConfigError(f"unknown policy {self.policy!r}")
+        elif not self.ks or any(k < 1 for k in self.ks):
+            raise ConfigError("waitk sweep requires positive k values")
+
+    def policy_config(self, lam: float = PolicyConfig.lam) -> PolicyConfig:
+        """The loop settings of a psfuture cell at ``lam``."""
+        return PolicyConfig(lam=lam, r_max=self.r_max,
+                            initial_prefix=self.initial_prefix,
+                            max_target_len=self.max_target_len)
 
 
 def _sentence_rng(seed: int, index: int) -> np.random.Generator:
@@ -130,9 +140,7 @@ def _run_cell(model, vocab, pairs, spec, k=None, lam=None, suffix=None) -> EvalR
                                   max_target_len=spec.max_target_len)
         policy, value, suffix_id = "waitk", k, ""
     else:
-        cfg = PolicyConfig(lam=lam, r_max=spec.r_max,
-                           initial_prefix=spec.initial_prefix,
-                           max_target_len=spec.max_target_len)
+        cfg = spec.policy_config(lam)
 
         def one(i, source):
             return simulate_sentence(model, vocab, cfg, suffix, source,

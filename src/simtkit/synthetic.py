@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    SPECIALS,
     ConfigError,
     SentencePair,
     Vocabulary,
@@ -138,7 +139,7 @@ def _context_dist(n_vocab, kind, window, m_bounds, content_ids, eos, src_ctx, t)
 def generate_corpus(spec: SyntheticSpec) -> tuple[Vocabulary, list[SentencePair], TableModel]:
     """Generate aligned pairs plus the exact table model of the language."""
     n_content = spec.vocab_size - 3
-    tokens = ("<bos>", "<eos>", "<unk>") + tuple(f"w{i}" for i in range(n_content))
+    tokens = SPECIALS + tuple(f"w{i}" for i in range(n_content))
     content_ids = tuple(range(3, spec.vocab_size))
     eos = 1
 

@@ -28,15 +28,15 @@ from .micro import MicroModel, UNIDIRECTIONAL, sgd_step
 from .policy import waitk_g
 
 REGIMES = ("offline", "multipath", "p2f")
-DEFAULT_K_CHOICES = (1, 3, 5, 7, 9)
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training knobs; mirrors the keys of the train config file."""
+    """Training knobs, whose defaults and checks the train flags and config
+    file use too; ``d``, ``max_len`` and ``mode`` are ``MicroModel``'s."""
     regime: str = "offline"
     ratio_r: float = 0.5                 # p2f Bernoulli parameter
-    k_choices: tuple[int, ...] = DEFAULT_K_CHOICES
+    k_choices: tuple[int, ...] = (1, 3, 5, 7, 9)
     epochs: int = 10
     batch_size: int = 16
     lr: float = 0.05
@@ -61,9 +61,7 @@ def sample_prefix_len(n: int, rng: np.random.Generator) -> int:
 
 
 def sample_alpha(r: float, rng: np.random.Generator) -> int:
-    """Bernoulli(r) in {0, 1}."""
-    if not (0.0 <= r <= 1.0):
-        raise ConfigError("Bernoulli parameter must lie in [0, 1]")
+    """Bernoulli(r) in {0, 1}; ``TrainConfig.ratio_r`` is checked to lie in [0, 1]."""
     return int(rng.random() < r)
 
 

@@ -42,11 +42,6 @@ def test_build_vocabulary_empty_corpus_rejected():
         build_vocabulary([])
 
 
-def test_build_vocabulary_duplicate_specials_rejected():
-    with pytest.raises(ConfigError):
-        build_vocabulary([["a"]], specials=("<s>", "<s>", "<unk>"))
-
-
 def test_freq_rank_tie_broken_by_first_occurrence():
     corpus = [["a", "b"] * 10]  # a and b both occur 10 times, a seen first
     vocab = build_vocabulary(corpus)

@@ -225,6 +225,11 @@ def test_sweep_spec_validation():
         SweepSpec(policy="waitk", ks=())
     with pytest.raises(ConfigError):
         SweepSpec(policy="mystery")
+    # PolicyConfig checks the loop settings of a wait-k sweep too
+    for setting, bad in (("r_max", 0), ("initial_prefix", 0), ("max_target_len", 0),
+                         ("seed", -1)):
+        with pytest.raises(ConfigError, match=f"{setting}={bad} must be"):
+            SweepSpec(policy="waitk", ks=(1,), **{setting: bad})
 
 
 def test_sweep_csv_echoes_config():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -160,6 +161,25 @@ def test_capacity_and_limit_errors():
                  lambda: m.loss_and_grads([((), tgt, "full")])):
         with pytest.raises(ConfigError, match="source must be non-empty"):
             call()
+
+
+def test_model_size_must_be_positive(tmp_path):
+    vocab = make_vocab(3)
+    for kwargs, message in (({"d": 0}, "d=0 and"), ({"d": -1}, "d=-1 and"),
+                            ({"max_len": 0}, "max_len=0 must both be >= 1")):
+        with pytest.raises(ConfigError, match=message):
+            MicroModel(vocab, **kwargs)
+    # a model file whose tensors all fit d = 0 goes through the same check
+    path = tmp_path / "m.json"
+    save_model(MicroModel(vocab, d=4, max_len=8), path)
+    doc = json.loads(path.read_text())
+    doc["meta"]["d"] = 0
+    for entry in doc["tensors"].values():
+        entry["shape"] = [0 if n in (4, 16) else n for n in entry["shape"]]
+        entry["data"] = []
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="d=0 and"):
+        load_model(path)
 
 
 def test_save_load_round_trip_bitwise(tmp_path):
