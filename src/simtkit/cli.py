@@ -13,14 +13,13 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from .core import PolicyConfig, load_parallel_corpus, decode_sentence, encode_sentence
 from .metrics import EvalResult, average_lagging, corpus_bleu, hallucination_rate
 from .micro import MODES, UNIDIRECTIONAL, MicroModel
 from .modelio import load_model, save_model
 from .policy import RandomSuffix, suffix_from_name, simulate_sentence
-from .sweep import POLICIES, SweepSpec, emit_divergence_report, run_sweep, sweep_csv_lines
+from .sweep import (POLICIES, SweepSpec, _sentence_rng, emit_divergence_report, run_sweep,
+                    sweep_csv_lines)
 from .synthetic import KINDS, SyntheticSpec, generate_corpus
 from .training import REGIMES, TrainConfig, train
 from . import core
@@ -258,7 +257,7 @@ def _cmd_simulate(args) -> int:
     suffix = _suffix_spec(args, vocab)
     cfg = PolicyConfig(**{f.name: getattr(args, f.name)
                           for f in dataclasses.fields(PolicyConfig)})
-    rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0]))
+    rng = _sentence_rng(args.seed, 0)
     sim = simulate_sentence(model, vocab, cfg, suffix, source, rng=rng)
 
     records = [dict(rec) for rec in sim.trace]
@@ -312,7 +311,7 @@ def _cmd_divergence(args) -> int:
     if not (0 <= args.index < len(pairs)):
         raise ValueError(f"--index {args.index} outside corpus of {len(pairs)}")
     suffix = _suffix_spec(args, vocab)
-    rng = np.random.default_rng(np.random.SeedSequence([args.seed, args.index]))
+    rng = _sentence_rng(args.seed, args.index)
     emit_divergence_report(model, vocab, pairs[args.index], suffix, args.lam,
                            args.out, rng=rng)
     print(f"wrote divergence report to {args.out}")

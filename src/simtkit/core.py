@@ -11,6 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -61,6 +62,7 @@ class Vocabulary:
     unk: int
     freq_rank: Mapping[str, int] | None = None
     id_of: Mapping[str, int] = field(init=False, repr=False)
+    ranked_ids: tuple[int, ...] = field(init=False, repr=False)  # best rank first
 
     def __post_init__(self):
         object.__setattr__(self, "id_of", {t: i for i, t in enumerate(self.tokens)})
@@ -71,6 +73,7 @@ class Vocabulary:
                 raise ConfigError(f"{name} id {i} out of range")
         if len({self.bos, self.eos, self.unk}) != 3:
             raise ConfigError("BOS, EOS, UNK ids must be distinct")
+        ranked: tuple[int, ...] = ()
         if self.freq_rank is not None:
             ranks = sorted(self.freq_rank.values())
             if ranks != list(range(1, len(ranks) + 1)):
@@ -78,6 +81,9 @@ class Vocabulary:
             for tok in self.freq_rank:
                 if tok not in self.id_of:
                     raise ConfigError(f"ranked token {tok!r} not in vocabulary")
+            ranked = tuple(self.id_of[tok]
+                           for tok in sorted(self.freq_rank, key=self.freq_rank.__getitem__))
+        object.__setattr__(self, "ranked_ids", ranked)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -89,7 +95,7 @@ class Vocabulary:
         """Id of ``token``, falling back to UNK for out-of-vocabulary tokens."""
         return self.id_of.get(token, self.unk)
 
-    def top_ranked_ids(self, top_k: int) -> list[int]:
+    def top_ranked_ids(self, top_k: int) -> tuple[int, ...]:
         """Ids of the ``top_k`` most frequent ranked tokens, best rank first."""
         if self.freq_rank is None:
             raise ConfigError("vocabulary has no frequency ranks")
@@ -98,8 +104,7 @@ class Vocabulary:
         if top_k > len(self.freq_rank):
             raise ConfigError(
                 f"top_k={top_k} exceeds {len(self.freq_rank)} ranked tokens")
-        by_rank = sorted(self.freq_rank.items(), key=lambda kv: kv[1])
-        return [self.id_of[tok] for tok, _ in by_rank[:top_k]]
+        return self.ranked_ids[:top_k]
 
     def hash_hex(self) -> str:
         """Stable fingerprint of the token list and special ids."""
@@ -232,7 +237,8 @@ class PolicyConfig:
     """Knobs of the adaptive read/write loop.
 
     ``lam`` is the divergence threshold (negative values are allowed and
-    degenerate to read-everything-first). ``r_max=None`` means no cap on
+    degenerate to read-everything-first, infinite ones too; NaN is not,
+    since no divergence is ``<=`` NaN). ``r_max=None`` means no cap on
     consecutive reads. ``initial_prefix`` counts real source tokens.
     """
 
@@ -242,6 +248,8 @@ class PolicyConfig:
     max_target_len: int = 64
 
     def __post_init__(self):
+        if math.isnan(self.lam):
+            raise ConfigError(f"lam={self.lam} must not be NaN")
         if self.initial_prefix < 1:
             raise ConfigError(f"initial_prefix={self.initial_prefix} must be >= 1")
         if self.max_target_len < 1:

@@ -15,9 +15,25 @@ Two encoder regimes:
 Cross-attention limits restrict how much of the encoded source each decoder
 position may see; they are the engine for both streaming inference and
 prefix-to-prefix training.
+
+Every forward, training included, runs three stages: (1) ``_encode`` turns
+the source into the cross-attention keys and values, (2) ``_decode_prefix``
+runs the causal self-attention over BOS + target prefix, and (3) the rest of
+``_forward`` applies cross-attention under the limits, the feed-forward
+block and the output projection. Stage 1 reads only the source and stage 2
+only the target prefix. Inside ``_sentence_cache``, which the policy code
+opens around each sentence, ``next_dist`` runs each stage once per distinct
+source or target prefix; the two probes of a PsFuture decision then share
+stage 2, and the rows of a divergence matrix share stage 1. No parameter
+changes inside one sentence, so a shared stage equals a fresh one bit for
+bit. The cache spans a sentence, not a sweep: it then holds one sentence's
+stages, while a sweep-wide cache grows the peak resident set with the
+corpus.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -75,30 +91,77 @@ class MicroModel:
                     raise ConfigError(f"parameter {name!r} missing or wrong shape")
             params = {name: np.asarray(p, dtype=np.float64) for name, p in params.items()}
         self.params = params
+        self._tri = np.tri(max_len, dtype=bool)  # sliced into every causal mask
+        self._stages = None  # (stage 1, stage 2) stores while a sentence cache is open
 
-    # -- forward ----------------------------------------------------------
+    # -- forward: three stages (see the module docstring) -----------------
 
-    def _encode(self, src: np.ndarray):
-        p = self.params
+    def _encode(self, src: tuple[int, ...]):
+        """Stage 1: the cross-attention keys and values of the encoded
+        ``src``, then the encoder output and its backward cache."""
         s = len(src)
-        x0 = p["embed"][src] + p["pos"][:s]
-        if self.mode == UNIDIRECTIONAL:
-            allowed = np.tril(np.ones((s, s), dtype=bool))
-        else:
-            allowed = np.ones((s, s), dtype=bool)
-        return _attn_forward(x0, x0, p, "enc", allowed), x0
+        causal = self._tri[:s, :s] if self.mode == UNIDIRECTIONAL else None
+        henc, enc_cache = self._embed_and_attend(src, "enc", causal)
+        if not np.isfinite(henc).all():
+            raise NumericError("non-finite values in encoder output")
+        p = self.params
+        return (henc @ p["dec_cross_k"], henc @ p["dec_cross_v"]), (henc, enc_cache)
 
-    def _forward(self, source, target, limits="full"):
-        """Logits at every row of the decoder input BOS + ``target``, plus
-        the cache for the backward pass.
+    def _decode_prefix(self, tgt_in: tuple[int, ...]):
+        """Stage 2: the causal self-attention output of the decoder input
+        ``tgt_in`` (BOS + target prefix), then its backward cache."""
+        rows = len(tgt_in)
+        return self._embed_and_attend(tgt_in, "dec_self", self._tri[:rows, :rows])
+
+    def _embed_and_attend(self, ids: tuple[int, ...], block: str, allowed):
+        """Self-attention ``block`` over the embedded ``ids``, with the
+        backward cache of _attn_backward."""
+        p = self.params
+        x0 = p["embed"][list(ids)] + p["pos"][:len(ids)]
+        k, v = x0 @ p[f"{block}_k"], x0 @ p[f"{block}_v"]
+        out, parts = _attn_forward(x0, k, v, p, block, allowed)
+        return out, (x0, x0, k, v, *parts)
+
+    @contextmanager
+    def _sentence_cache(self):
+        """Share stages 1 and 2 among the ``next_dist`` queries of the block.
+
+        Inside the block a stage runs once per distinct source (stage 1) or
+        decoder input (stage 2). The parameters must not change meanwhile;
+        then a stored stage equals a fresh one bit for bit. The owner of one
+        sentence's queries opens it, so it holds one sentence's stages; a
+        block opened inside an open one joins it. Exit drops every entry.
+        """
+        if self._stages is not None:
+            yield
+            return
+        self._stages = ({}, {})
+        try:
+            yield
+        finally:
+            self._stages = None
+
+    def _stage(self, which: int, key: tuple[int, ...], run):
+        """``run(key)``'s first result, stored in the open sentence cache."""
+        if self._stages is None:
+            return run(key)[0]
+        store = self._stages[which]
+        out = store.get(key)
+        if out is None:
+            out = store[key] = run(key)[0]
+        return out
+
+    def _forward(self, source, target, limits="full", backward=False):
+        """Logits at every row of the decoder input BOS + ``target``, and,
+        with ``backward``, the cache for the backward pass (else None).
 
         This is the one place that checks a query. ``limits`` caps how many
         leading source positions each decoder row may attend to: ``"full"``
         (the whole source), one integer for every row, or one integer per
         row, each in [1, len(source)].
         """
-        src = np.asarray(tuple(source), dtype=np.intp)
-        tgt_in = np.asarray((self.vocab.bos,) + tuple(target), dtype=np.intp)
+        src = tuple(source)
+        tgt_in = (self.vocab.bos,) + tuple(target)
         n, rows = len(src), len(tgt_in)
         if n == 0:
             raise ConfigError("source must be non-empty")
@@ -106,7 +169,7 @@ class MicroModel:
             if length > self.max_len:
                 raise CapacityError(f"{what} length {length} exceeds max_len {self.max_len}")
         if isinstance(limits, str) and limits == "full":
-            cross_limits = np.full(rows, n, dtype=np.intp)
+            cross_allowed = None  # masking with an all-true mask changes nothing
         else:
             lim = np.asarray(limits)
             if lim.dtype.kind not in "iu" or lim.shape not in ((), (rows,)):
@@ -116,24 +179,27 @@ class MicroModel:
             if lim.min() < 1 or lim.max() > n:
                 raise ConfigError(f"cross-attention limit {limits!r} outside [1, {n}]")
             cross_limits = np.broadcast_to(lim.astype(np.intp), (rows,))
+            cross_allowed = np.arange(n)[None, :] < cross_limits[:, None]
 
+        if backward:
+            (cross_kv, (henc, enc_cache)), (y1, self_cache) = \
+                self._encode(src), self._decode_prefix(tgt_in)
+        else:
+            cross_kv = self._stage(0, src, self._encode)
+            y1 = self._stage(1, tgt_in, self._decode_prefix)
         p = self.params
-        (henc, cache_enc), x0 = self._encode(src)
-        y0 = p["embed"][tgt_in] + p["pos"][:rows]
-        causal = np.tril(np.ones((rows, rows), dtype=bool))
-        y1, cache_self = _attn_forward(y0, y0, p, "dec_self", causal)
-        cross_allowed = np.arange(n)[None, :] < cross_limits[:, None]
-        y2, cache_cross = _attn_forward(y1, henc, p, "dec_cross", cross_allowed)
+        y2, cross_parts = _attn_forward(y1, *cross_kv, p, "dec_cross", cross_allowed)
         h1 = y2 @ p["ff_w1"]
         relu = np.maximum(h1, 0.0)
         y3 = relu @ p["ff_w2"] + y2
         logits = y3 @ p["out_proj"]
-        for name, val in (("encoder output", henc), ("logits", logits)):
-            if not np.isfinite(val).all():
-                raise NumericError(f"non-finite values in {name}")
+        if not np.isfinite(logits).all():
+            raise NumericError("non-finite values in logits")
+        if not backward:
+            return logits, None
         cache = {
-            "src": src, "tgt_in": tgt_in, "x0": x0, "henc": henc,
-            "enc": cache_enc, "self": cache_self, "cross": cache_cross,
+            "src": list(src), "tgt_in": list(tgt_in), "enc": enc_cache, "self": self_cache,
+            "cross": (y1, henc, *cross_kv, *cross_parts),
             "y2": y2, "h1": h1, "relu": relu, "y3": y3,
         }
         return logits, cache
@@ -208,7 +274,7 @@ class MicroModel:
 
     def _pair_nll_and_grads(self, source, target, limits="full"):
         """Summed NLL of ``target`` given ``source`` and its exact gradients."""
-        nlls, logits, cache = self._teacher_forced(source, target, limits)
+        nlls, logits, cache = self._teacher_forced(source, target, limits, backward=True)
         tgt = list(target)
         dlogits = _softmax_rows(logits)
         dlogits[np.arange(len(tgt)), tgt] -= 1.0
@@ -219,14 +285,14 @@ class MicroModel:
         """Per-position -log p(y_t | ...), forward only."""
         return self._teacher_forced(source, target, limits)[0]
 
-    def _teacher_forced(self, source, target, limits):
+    def _teacher_forced(self, source, target, limits, backward=False):
         """Per-position NLLs of ``target`` given ``source``, with the logits
-        and cache of the forward pass; ``limits`` has one entry per target
-        position when it is a list."""
+        and (with ``backward``) the cache of the forward pass; ``limits`` has
+        one entry per target position when it is a list."""
         tgt = list(target)
         if not tgt:
             raise ConfigError("target must be non-empty")
-        logits, cache = self._forward(source, tgt[:-1], limits)
+        logits, cache = self._forward(source, tgt[:-1], limits, backward)
         return _log_softmax_nll(logits, tgt), logits, cache
 
     def clone_params(self) -> dict[str, np.ndarray]:
@@ -268,35 +334,32 @@ def _log_softmax_nll(logits: np.ndarray, targets: list[int]) -> np.ndarray:
     return lse - shifted[np.arange(len(targets)), targets]
 
 
-def _attn_forward(q_in, kv_in, params, block, allowed):
-    """Single-head attention with residual: out = softmax(QK'/sqrt(d)) V Wo + q_in.
+def _attn_forward(q_in, k, v, params, block, allowed):
+    """Single-head attention with residual: out = softmax(QK'/sqrt(d)) V Wo + q_in
+    with Q = q_in Wq; returns out and (Q, attention weights, context).
 
-    ``allowed`` is a boolean (queries x keys) visibility mask; disallowed
-    scores become -inf before the softmax, so their weights are exactly zero
-    and masked positions cannot leak into the output.
+    ``k`` and ``v`` are the projected keys and values. ``allowed`` is a
+    boolean (queries x keys) visibility mask, or None when every key is
+    visible; disallowed scores become -inf before the softmax, so their
+    weights are exactly zero and masked positions cannot leak into the output.
     """
-    d = q_in.shape[1]
-    wq, wk, wv, wo = (params[f"{block}_{p}"] for p in ("q", "k", "v", "o"))
-    q = q_in @ wq
-    k = kv_in @ wk
-    v = kv_in @ wv
-    scores = (q @ k.T) / np.sqrt(d)
-    scores = np.where(allowed, scores, -np.inf)
+    q = q_in @ params[f"{block}_q"]
+    scores = (q @ k.T) / np.sqrt(q_in.shape[1])
+    if allowed is not None:
+        scores = np.where(allowed, scores, -np.inf)
     attn = _softmax_rows(scores)
     ctx = attn @ v
-    out = ctx @ wo + q_in
-    cache = {"q_in": q_in, "kv_in": kv_in, "q": q, "k": k, "v": v,
-             "attn": attn, "ctx": ctx}
-    return out, cache
+    return ctx @ params[f"{block}_o"] + q_in, (q, attn, ctx)
 
 
 def _attn_backward(cache, dout, params, block, grads):
-    """Gradients of _attn_forward; returns (d q_in, d kv_in)."""
-    d = cache["q_in"].shape[1]
+    """Gradients of _attn_forward given its (q_in, kv_in, k, v, Q, attention
+    weights, context); returns (d q_in, d kv_in)."""
+    q_in, kv_in, k, v, q, attn, ctx = cache
+    d = q_in.shape[1]
     wq, wk, wv, wo = (params[f"{block}_{p}"] for p in ("q", "k", "v", "o"))
-    attn, v, q, k = cache["attn"], cache["v"], cache["q"], cache["k"]
 
-    grads[f"{block}_o"] += cache["ctx"].T @ dout
+    grads[f"{block}_o"] += ctx.T @ dout
     dctx = dout @ wo.T
     dattn = dctx @ v.T
     dv = attn.T @ dctx
@@ -305,9 +368,9 @@ def _attn_backward(cache, dout, params, block, grads):
     dq = (dscores @ k) / np.sqrt(d)
     dk = (dscores.T @ q) / np.sqrt(d)
 
-    grads[f"{block}_q"] += cache["q_in"].T @ dq
-    grads[f"{block}_k"] += cache["kv_in"].T @ dk
-    grads[f"{block}_v"] += cache["kv_in"].T @ dv
+    grads[f"{block}_q"] += q_in.T @ dq
+    grads[f"{block}_k"] += kv_in.T @ dk
+    grads[f"{block}_v"] += kv_in.T @ dv
     dq_in = dout + dq @ wq.T
     dkv_in = dk @ wk.T + dv @ wv.T
     return dq_in, dkv_in

@@ -22,6 +22,8 @@ purpose of guaranteeing progress.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -179,6 +181,26 @@ class _ProbeMemo:
             dist = self.answers[key] = self.model.next_dist(*key)
         return dist
 
+    def __getattr__(self, name):
+        return getattr(self.model, name)  # e.g. the model's sentence cache
+
+
+def _one_sentence(run):
+    """Run ``run(model, ...)`` inside the model's sentence cache, when the
+    model has one (``MicroModel._sentence_cache``; a wrapper that passes
+    other attributes through reaches it too).
+
+    ``run`` asks the queries of one sentence and changes no parameter, so the
+    stages the cache shares equal fresh ones bit for bit; the cache is dropped
+    when ``run`` returns or raises.
+    """
+    @functools.wraps(run)
+    def in_cache(model, *args, **kwargs):
+        open_cache = getattr(model, "_sentence_cache", None)
+        with open_cache() if open_cache is not None else contextlib.nullcontext():
+            return run(model, *args, **kwargs)
+    return in_cache
+
 
 def psfuture_divergence(model, source_prefix, target_prefix, suffix) -> float:
     """Divergence between predictions with and without the pseudo future."""
@@ -195,6 +217,7 @@ class SimulationResult:
     truncated: bool
 
 
+@_one_sentence
 def simulate_sentence(
     model,
     vocab: Vocabulary,
@@ -293,6 +316,7 @@ def waitk_g(t: int, k: int, n: int) -> int:
     return min(t + k - 1, n)
 
 
+@_one_sentence
 def simulate_waitk(
     model,
     vocab: Vocabulary,
@@ -333,6 +357,7 @@ class DivergenceMatrix:
             raise ValueError("divergence entries must lie in [0, 1]")
 
 
+@_one_sentence
 def divergence_matrix(
     model,
     vocab: Vocabulary,
@@ -365,7 +390,10 @@ def divergence_matrix(
 
 def threshold_path(matrix: DivergenceMatrix, lam: float) -> list[tuple[int, int]]:
     """Greedy staircase through the matrix: write (t, g) when the cell clears
-    the threshold or the source is spent, else read. 1-based coordinates."""
+    the threshold or the source is spent, else read. 1-based coordinates.
+    ``lam`` follows ``PolicyConfig.lam``: any value but NaN."""
+    if math.isnan(lam):
+        raise ConfigError(f"lam={lam} must not be NaN")
     t_len, n = matrix.values.shape
     path = []
     g = 1

@@ -49,7 +49,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise ConfigError(f"unknown policy {self.policy!r}")
-        self.policy_config()  # checks the loop settings, for wait-k too
+        for lam in (PolicyConfig.lam, *self.lambdas):  # the loop settings, for wait-k too
+            self.policy_config(lam)
         if self.seed < 0:
             raise ConfigError(f"seed={self.seed} must be >= 0")
         if self.policy == "psfuture":
@@ -70,6 +71,9 @@ class SweepSpec:
 
 
 def _sentence_rng(seed: int, index: int) -> np.random.Generator:
+    """The generator of sentence ``index`` under ``seed``."""
+    if seed < 0:
+        raise ConfigError(f"seed={seed} must be >= 0")
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 

@@ -56,6 +56,8 @@ class SyntheticSpec:
             raise ConfigError("length range must satisfy 2 <= lo <= hi")
         if self.n_pairs < 1:
             raise ConfigError("n_pairs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed={self.seed} must be >= 0")
         if self.window < 2:
             raise ConfigError("swap window must be >= 2")
 

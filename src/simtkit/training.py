@@ -18,6 +18,7 @@ loss curves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -49,8 +50,12 @@ class TrainConfig:
             raise ConfigError("ratio_r must lie in [0, 1]")
         if not self.k_choices or any(k < 1 for k in self.k_choices):
             raise ConfigError("k_choices must be non-empty with every k >= 1")
-        if self.epochs < 0 or self.batch_size < 1 or self.lr < 0:
-            raise ConfigError("epochs >= 0, batch_size >= 1, lr >= 0 required")
+        if self.epochs < 0 or self.batch_size < 1:
+            raise ConfigError("epochs >= 0 and batch_size >= 1 required")
+        if not 0.0 <= self.lr < math.inf:  # NaN fails too
+            raise ConfigError(f"lr={self.lr} must be finite and >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed={self.seed} must be >= 0")
 
 
 def sample_prefix_len(n: int, rng: np.random.Generator) -> int:

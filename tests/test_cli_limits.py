@@ -2,7 +2,8 @@
 their limits, and the flags' defaults against the types that own them.
 
 At its limit a flag's command exits 0. Past it, the command exits 1 or 2
-with one line on stderr and no traceback, and writes no output file.
+with one line on stderr and no traceback, and writes no output file. The
+seed, lambda and learning-rate errors also name their setting.
 """
 
 import contextlib
@@ -128,6 +129,54 @@ def test_numeric_flag_at_and_past_its_limit(corpus, index, past):
     assert len(stderr.splitlines()) == 1, stderr
     assert "Traceback" not in stderr + stdout
     assert written == []
+
+
+_TRAIN_MISSING_SRC = ["train", "--src", "{out}/missing", "--tgt", "{out}/missing",
+                      "--checkpoint", "{out}/ck.json"]
+_DIVERGENCE = ["divergence", "--model", "{model}", "--src", "{src}", "--tgt", "{tgt}",
+               "--out", "{out}/o"]
+_SIMULATE = ["simulate", "--model", "{model}", "--src", "{src}", "--out", "{out}/o"]
+_SWEEP = ["sweep", "--model", "{model}", "--src", "{src}", "--tgt", "{tgt}", "--out", "{out}/o"]
+NAMED = [
+    ("gen-corpus seed", ["gen-corpus", "--kind", "copy", "--out-src", "{out}/o",
+                         "--out-tgt", "{out}/t", "--seed", "-1"], "seed=-1 must be >= 0"),
+    # a corpus that does not exist shows that the check comes before reading it
+    ("train seed", _TRAIN_MISSING_SRC + ["--seed", "-1"], "seed=-1 must be >= 0"),
+    ("train lr nan", _TRAIN_MISSING_SRC + ["--lr", "nan"], "lr=nan must be finite"),
+    ("train lr inf", _TRAIN_MISSING_SRC + ["--lr", "inf"], "lr=inf must be finite"),
+    ("simulate seed", _SIMULATE + ["--seed", "-1"], "seed=-1 must be >= 0"),
+    ("divergence seed", _DIVERGENCE + ["--seed", "-1"], "seed=-1 must be >= 0"),
+    ("sweep seed", _SWEEP + ["--policy", "psfuture", "--lambda", "0.2", "--seed", "-1"],
+     "seed=-1 must be >= 0"),
+    ("simulate lambda nan", _SIMULATE + ["--lambda", "nan"], "lam=nan must not be NaN"),
+    ("sweep lambda nan", _SWEEP + ["--policy", "psfuture", "--lambda", "0.1,nan"],
+     "lam=nan must not be NaN"),
+    ("divergence lambda nan", _DIVERGENCE + ["--lambda", "nan"], "lam=nan must not be NaN"),
+]
+
+
+@pytest.mark.parametrize("argv, message", [c[1:] for c in NAMED], ids=[c[0] for c in NAMED])
+def test_bad_setting_is_named_in_the_error(corpus, argv, message):
+    paths = corpus[0]
+    with tempfile.TemporaryDirectory() as out:
+        code, stdout, stderr = _run([a.format(out=out, **paths) for a in argv])
+        written = os.listdir(out)
+    assert code == 2, (argv, stdout)
+    assert stderr.startswith(f"simtkit: ConfigError: {message}"), stderr
+    assert len(stderr.splitlines()) == 1 and written == []
+
+
+@pytest.mark.parametrize("argv", [_SIMULATE + ["--lambda=-inf"], _SIMULATE + ["--lambda=inf"],
+                                  _SWEEP + ["--policy", "psfuture", "--lambda=-inf,-1,inf"],
+                                  _DIVERGENCE + ["--lambda=-inf"]],
+                         ids=["simulate -inf", "simulate inf", "sweep -inf,-1,inf",
+                              "divergence -inf"])
+def test_infinite_and_negative_lambda_stay_allowed(corpus, argv):
+    paths = corpus[0]
+    with tempfile.TemporaryDirectory() as out:
+        code, _, stderr = _run([a.format(out=out, **paths) for a in argv])
+        assert code == 0, stderr
+        assert os.listdir(out) == ["o"]
 
 
 def _defaults(cls) -> dict:

@@ -68,7 +68,8 @@ def test_sweep_cell_independence():
 
 
 class CountingModel:
-    """Counts the forwards asked of a model; declares no ``max_len``."""
+    """Counts the forwards asked of a model and passes every other attribute
+    through, like the benchmark's wrapper."""
 
     def __init__(self, model):
         self.model = model
@@ -77,6 +78,9 @@ class CountingModel:
     def next_dist(self, source_prefix, target_prefix):
         self.forwards += 1
         return self.model.next_dist(source_prefix, target_prefix)
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
 
 
 def long_source_world():
@@ -91,7 +95,6 @@ def long_source_world():
 def test_sweep_checks_lengths_before_the_first_cell():
     vocab, pairs, model = long_source_world()
     counting = CountingModel(model)
-    counting.max_len = model.max_len
     # sentence 2 could probe 14 read tokens plus the 4-token random suffix
     spec = SweepSpec(policy="psfuture", lambdas=(-1.0,), suffixes=("eos", "random"),
                      max_target_len=8, random_top_k=6)
@@ -130,13 +133,15 @@ def test_sweep_checks_the_random_suffix_before_the_first_cell():
 
 def test_sweep_failure_names_the_sentence():
     vocab, pairs, model = long_source_world()
-    # a model that declares no max_len gets no pre-flight; lambda -1 reads the
-    # whole source first, so sentence 2 probes 13 source tokens plus the
-    # 4-token random suffix
+    # a model whose max_len is None declares no limit and gets no pre-flight;
+    # lambda -1 reads the whole source first, so sentence 2 probes 13 source
+    # tokens plus the 4-token random suffix
+    undeclared = CountingModel(model)
+    undeclared.max_len = None
     spec = SweepSpec(policy="psfuture", lambdas=(-1.0,), suffixes=("random",),
                      max_target_len=8, random_top_k=6)
     with pytest.raises(RuntimeError, match=r"at sentence 2: .*max_len 16"):
-        run_sweep(CountingModel(model), vocab, pairs, spec)
+        run_sweep(undeclared, vocab, pairs, spec)
 
 
 def sweep_recorded(monkeypatch, model, vocab, pairs, spec, memo=True):
@@ -197,6 +202,39 @@ def test_sweep_memo_does_not_outlive_the_call():
     assert after != before
 
 
+@pytest.mark.parametrize("mode", [BIDIRECTIONAL, UNIDIRECTIONAL])
+def test_sentence_cache_reaches_the_model_through_wrappers(monkeypatch, mode):
+    """Sweeps and divergence matrices open one sentence cache per sentence on
+    the model behind the counting wrapper and the sweep's probe memo; it
+    changes neither a result nor the number of forwards asked."""
+    vocab, pairs, _ = copy_world(n_pairs=5)
+    model = MicroModel(vocab, d=8, max_len=16, mode=mode, seed=4)
+    psfuture = SweepSpec(policy="psfuture", lambdas=(0.02, 0.3), suffixes=("eos", "random"),
+                         r_max=4, max_target_len=12, seed=3, random_top_k=6)
+    waitk = SweepSpec(policy="waitk", ks=(1, 3), max_target_len=12)
+
+    def run():
+        counting = CountingModel(model)
+        rows = [run_sweep(counting, vocab, pairs, spec) for spec in (psfuture, waitk)]
+        matrices = [divergence_matrix(counting, vocab, pair, suffix_from_name("eos", vocab))
+                    .values.tobytes() for pair in pairs]
+        return rows, matrices, counting.forwards
+
+    opened = []
+    open_cache = MicroModel._sentence_cache
+
+    def recorded(self):
+        opened.append(self)
+        return open_cache(self)
+
+    monkeypatch.setattr(MicroModel, "_sentence_cache", recorded)
+    cached = run()
+    # 4 psfuture and 2 wait-k cells of 5 sentences, then 5 matrices
+    assert len(opened) == 6 * 5 + 5 and all(m is model for m in opened)
+    monkeypatch.delattr(MicroModel, "_sentence_cache")
+    assert cached == run()
+
+
 def test_probe_memo_does_not_store_a_failed_query():
     answer = Distribution(np.full(3, 1 / 3))
     queries = []
@@ -230,6 +268,9 @@ def test_sweep_spec_validation():
                          ("seed", -1)):
         with pytest.raises(ConfigError, match=f"{setting}={bad} must be"):
             SweepSpec(policy="waitk", ks=(1,), **{setting: bad})
+    # every lambda, before the first cell runs
+    with pytest.raises(ConfigError, match="lam=nan must not be NaN"):
+        SweepSpec(policy="psfuture", lambdas=(0.1, float("nan")))
 
 
 def test_sweep_csv_echoes_config():

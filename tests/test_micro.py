@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from simtkit import (
     BIDIRECTIONAL,
@@ -11,10 +12,13 @@ from simtkit import (
     MicroModel,
     ModelFileError,
     NumericError,
+    SentencePair,
     UNIDIRECTIONAL,
+    divergence_matrix,
     load_model,
     save_model,
     sgd_step,
+    suffix_from_name,
 )
 
 from conftest import make_vocab
@@ -62,6 +66,78 @@ def test_unidirectional_invariance_bitwise_and_bidirectional_violation():
                               bi.next_dist(tuple(src2), tgt, cross_limit=g).probs):
             bi_violations += 1
     assert bi_violations >= 1
+
+
+# -- the sentence cache of stages 1 and 2 -------------------------------------
+
+CACHE_MODELS = {mode: small_model(mode=mode, seed=12) for mode in (BIDIRECTIONAL, UNIDIRECTIONAL)}
+
+
+@st.composite
+def sentence_queries(draw):
+    """Queries drawn from a few sources and targets over three tokens, so
+    that one sentence asks the same and nearly the same stages again."""
+    token = st.integers(3, 5)
+    sources = draw(st.lists(st.lists(token, min_size=1, max_size=6), min_size=1, max_size=4))
+    targets = draw(st.lists(st.lists(token, max_size=5), min_size=1, max_size=4))
+    queries = []
+    for _ in range(draw(st.integers(1, 12))):
+        src = tuple(draw(st.sampled_from(sources)))
+        limit = draw(st.one_of(st.just("full"), st.integers(1, len(src))))
+        queries.append((src, tuple(draw(st.sampled_from(targets))), limit))
+    return queries
+
+
+@pytest.mark.parametrize("mode", sorted(CACHE_MODELS))
+@settings(max_examples=60, deadline=None)
+@given(queries=sentence_queries())
+# sources that differ only in their first token, their last token or their
+# length, and targets likewise
+@example(queries=[((3, 4, 1), (5,), "full"), ((5, 4, 1), (5,), "full"), ((3, 4, 5), (5,), 2),
+                  ((3, 4), (5,), "full"), ((3, 4, 1), (4,), 3), ((3, 4, 1), (4, 4), "full"),
+                  ((3, 4, 1), (), 1), ((3, 4, 1), (5,), "full")])
+def test_sentence_cache_answers_bitwise_as_without_it(mode, queries):
+    model = CACHE_MODELS[mode]
+    want = [model.next_dist(src, tgt, cross_limit=limit).probs for src, tgt, limit in queries]
+    with model._sentence_cache():
+        got = [model.next_dist(src, tgt, cross_limit=limit).probs
+               for src, tgt, limit in queries]
+    assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+
+
+def test_sentence_cache_is_dropped_on_exit():
+    m = small_model(mode=UNIDIRECTIONAL)
+    with m._sentence_cache():
+        m.next_dist((3, 4, 1), (5,))
+        with m._sentence_cache():  # joins the open block
+            m.next_dist((3, 4), (5,))
+        m.next_dist((3, 4), (5,), cross_limit=1)
+        assert [len(store) for store in m._stages] == [2, 1]
+    assert m._stages is None
+    with pytest.raises(CapacityError):
+        with m._sentence_cache():
+            m.next_dist((3, 4, 1), (5,))
+            m.next_dist((3,) * 20, ())
+    assert m._stages is None
+    # the owners of a sentence drop it when they raise too
+    too_long = SentencePair(source=(3,) * 12 + (1,), target=(3, 1))
+    with pytest.raises(CapacityError):
+        divergence_matrix(m, m.vocab, too_long, suffix_from_name("eos", m.vocab))
+    assert m._stages is None
+
+
+def test_no_stage_outlives_its_sentence_cache():
+    m = small_model(mode=BIDIRECTIONAL)
+    query = ((3, 4, 1), (5,))
+    with m._sentence_cache():
+        before = m.next_dist(*query).probs
+    _, grads = m.loss_and_grads([((3, 4, 1), (5, 1), "full")])
+    sgd_step(m, grads, lr=1.0)
+    with m._sentence_cache():
+        after = m.next_dist(*query).probs
+    fresh = MicroModel(m.vocab, d=m.d, max_len=m.max_len, mode=m.mode, params=m.clone_params())
+    assert after.tobytes() == fresh.next_dist(*query).probs.tobytes()
+    assert not np.array_equal(after, before)
 
 
 def max_fd_rel_error(model, batch, h=1e-4):
