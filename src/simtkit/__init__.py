@@ -39,8 +39,8 @@ from .policy import (
     threshold_path,
     waitk_g,
 )
-from .sweep import DEFAULT_LAMBDA_GRID, SweepSpec, emit_divergence_report, \
-    run_sweep, sweep_csv_lines
+from .sweep import DEFAULT_LAMBDA_GRID, SweepSpec, divergence_report_lines, \
+    run_sweep, sentence_rng, sweep_csv_lines
 from .synthetic import SyntheticSpec, generate_corpus, possible_next_tokens
 from .tables import TableModel, backoff_probes
 from .training import (

@@ -18,7 +18,7 @@ from .metrics import EvalResult, average_lagging, corpus_bleu, hallucination_rat
 from .micro import MODES, UNIDIRECTIONAL, MicroModel
 from .modelio import load_model, save_model
 from .policy import RandomSuffix, suffix_from_name, simulate_sentence
-from .sweep import (POLICIES, SweepSpec, _sentence_rng, emit_divergence_report, run_sweep,
+from .sweep import (POLICIES, SweepSpec, divergence_report_lines, run_sweep, sentence_rng,
                     sweep_csv_lines)
 from .synthetic import KINDS, SyntheticSpec, generate_corpus
 from .training import REGIMES, TrainConfig, train
@@ -55,6 +55,24 @@ def _add_loop_flags(parser) -> None:
     parser.add_argument("--r-max", type=_r_max, default=PolicyConfig.r_max)
     parser.add_argument("--initial-prefix", type=int, default=PolicyConfig.initial_prefix)
     parser.add_argument("--max-target-len", type=int, default=PolicyConfig.max_target_len)
+
+
+def _write(lines, path) -> None:
+    """Write a text report's ``lines`` to ``path``, or to stdout if it is None."""
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def _pick(args, items):
+    """Item ``--index`` of a corpus, and the generator a sweep with ``--seed``
+    gives that sentence."""
+    if not (0 <= args.index < len(items)):
+        raise ValueError(f"--index {args.index} outside corpus of {len(items)}")
+    return items[args.index], sentence_rng(args.seed, args.index)
 
 
 def _suffix_spec(args, vocab):
@@ -235,8 +253,7 @@ def _cmd_train(args) -> int:
     if given.get("checkpoint"):
         save_model(model, given["checkpoint"])
     if given.get("curve"):
-        with open(given["curve"], "w", encoding="utf-8") as fh:
-            fh.write("\n".join(result.curve_csv_lines()) + "\n")
+        _write(result.curve_csv_lines(), given["curve"])
     final = result.epoch_stats[-1].mean_loss if result.epoch_stats else float("nan")
     print(f"trained {cfg.epochs} epochs, final mean loss {final!r}")
     return 0
@@ -245,22 +262,18 @@ def _cmd_train(args) -> int:
 def _cmd_simulate(args) -> int:
     model = load_model(args.model)
     vocab = model.vocab
-    if args.sentence:
-        source = encode_sentence(args.sentence.split(), vocab)
+    if args.sentence:  # sentence 0 of a one-line corpus
+        tokens, rng = args.sentence.split(), sentence_rng(args.seed, 0)
     elif args.src:
-        lines = core.read_token_lines(args.src)
-        if not (0 <= args.index < len(lines)):
-            raise ValueError(f"--index {args.index} outside corpus of {len(lines)}")
-        source = encode_sentence(lines[args.index], vocab)
+        tokens, rng = _pick(args, core.read_token_lines(args.src))
     else:
         raise ValueError("simulate needs --sentence or --src")
+    source = encode_sentence(tokens, vocab)
     suffix = _suffix_spec(args, vocab)
     cfg = PolicyConfig(**{f.name: getattr(args, f.name)
                           for f in dataclasses.fields(PolicyConfig)})
-    rng = _sentence_rng(args.seed, 0)
     sim = simulate_sentence(model, vocab, cfg, suffix, source, rng=rng)
 
-    records = [dict(rec) for rec in sim.trace]
     summary = {
         "summary": True,
         "hypothesis": " ".join(decode_sentence(sim.hypothesis, vocab)),
@@ -268,13 +281,7 @@ def _cmd_simulate(args) -> int:
         "al": average_lagging(sim.g_record, len(source)) if sim.g_record else None,
         "truncated": sim.truncated,
     }
-    lines = [json.dumps(r, sort_keys=True) for r in records + [summary]]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write([json.dumps(r, sort_keys=True) for r in sim.trace + [summary]], args.out)
     return 0
 
 
@@ -298,8 +305,7 @@ def _cmd_sweep(args) -> int:
     )
     results = run_sweep(model, vocab, pairs, spec)
     provenance = {"model": args.model, "src": args.src, "tgt": args.tgt}
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(sweep_csv_lines(results, spec, provenance)) + "\n")
+    _write(sweep_csv_lines(results, spec, provenance), args.out)
     print(f"wrote {len(results)} rows to {args.out}")
     return 0
 
@@ -308,12 +314,9 @@ def _cmd_divergence(args) -> int:
     model = load_model(args.model)
     vocab = model.vocab
     _, pairs = load_parallel_corpus(args.src, args.tgt, vocab=vocab)
-    if not (0 <= args.index < len(pairs)):
-        raise ValueError(f"--index {args.index} outside corpus of {len(pairs)}")
+    pair, rng = _pick(args, pairs)
     suffix = _suffix_spec(args, vocab)
-    rng = _sentence_rng(args.seed, args.index)
-    emit_divergence_report(model, vocab, pairs[args.index], suffix, args.lam,
-                           args.out, rng=rng)
+    _write(divergence_report_lines(model, vocab, pair, suffix, args.lam, rng=rng), args.out)
     print(f"wrote divergence report to {args.out}")
     return 0
 
@@ -342,14 +345,8 @@ def _cmd_eval(args) -> int:
             aligns = [core.parse_alignment_line(line)
                       for line in fh.read().splitlines()]
         hr = repr(hallucination_rate(hyp_lines, aligns))
-    lines = [EvalResult.CSV_HEADER,
-             f"external,,,,{al},{bleu!r},{hr},{len(hyp_lines)},{args.seed}"]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write([EvalResult.CSV_HEADER,
+            f"external,,,,{al},{bleu!r},{hr},{len(hyp_lines)},{args.seed}"], args.out)
     return 0
 
 

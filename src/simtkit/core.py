@@ -204,19 +204,24 @@ class SentencePair:
     alignment: frozenset[tuple[int, int]] | None = None
 
 
+def _validate_sequence(side: str, seq: Sequence[int], vocab: Vocabulary) -> None:
+    """Raise CorpusError unless ``seq`` is a valid side of a SentencePair."""
+    n_vocab = len(vocab)
+    if len(seq) == 0:
+        raise CorpusError(f"{side} sequence is empty")
+    if seq[-1] != vocab.eos:
+        raise CorpusError(f"{side} sequence does not end with EOS")
+    if seq.count(vocab.eos) != 1:
+        raise CorpusError(f"{side} sequence contains more than one EOS")
+    for tok in seq:
+        if not (0 <= tok < n_vocab):
+            raise CorpusError(f"{side} id {tok} out of range 0..{n_vocab - 1}")
+
+
 def validate_pair(pair: SentencePair, vocab: Vocabulary) -> None:
     """Raise CorpusError unless all SentencePair invariants hold under vocab."""
-    n_vocab = len(vocab)
-    for side, seq in (("source", pair.source), ("target", pair.target)):
-        if len(seq) == 0:
-            raise CorpusError(f"{side} sequence is empty")
-        if seq[-1] != vocab.eos:
-            raise CorpusError(f"{side} sequence does not end with EOS")
-        if seq.count(vocab.eos) != 1:
-            raise CorpusError(f"{side} sequence contains more than one EOS")
-        for tok in seq:
-            if not (0 <= tok < n_vocab):
-                raise CorpusError(f"{side} id {tok} out of range 0..{n_vocab - 1}")
+    _validate_sequence("source", pair.source, vocab)
+    _validate_sequence("target", pair.target, vocab)
     if pair.alignment is not None:
         n, t = len(pair.source), len(pair.target)
         for ti, si in pair.alignment:

@@ -37,6 +37,7 @@ from .core import (
     READ,
     WRITE,
     Vocabulary,
+    _validate_sequence,
 )
 
 # force-reason codes carried by trace records
@@ -235,10 +236,11 @@ def simulate_sentence(
     The trace holds one record per decision: kind R/W, the cursor at
     decision time, the divergence when one was computed, the force reason
     for writes, and the emitted token id for writes.
+
+    The source must be a valid side of a SentencePair (CorpusError otherwise).
     """
     source = tuple(source)
-    if not source or source[-1] != vocab.eos:
-        raise ConfigError("source must be non-empty and end with EOS")
+    _validate_sequence("source", source, vocab)
 
     n = len(source)
     j = min(cfg.initial_prefix, n)   # consumed source tokens

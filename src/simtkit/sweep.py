@@ -2,7 +2,7 @@
 
 A sweep evaluates one (lambda or k) x suffix cell at a time over a corpus,
 one sentence after another, and emits one EvalResult row per cell, sorted
-by AL. Per-sentence RNGs are derived from (global seed, sentence index), so
+by AL. Each sentence's RNG is ``sentence_rng(seed, sentence index)``, so
 a cell or a sentence re-run on its own agrees byte for byte with the full
 sweep; the sweep's probe memo is exact, so it changes forwards, not results.
 """
@@ -70,8 +70,9 @@ class SweepSpec:
                             max_target_len=self.max_target_len)
 
 
-def _sentence_rng(seed: int, index: int) -> np.random.Generator:
-    """The generator of sentence ``index`` under ``seed``."""
+def sentence_rng(seed: int, index: int) -> np.random.Generator:
+    """The generator a sweep with ``seed`` gives sentence ``index``: re-run
+    alone with it, the sentence gives the same result as in the sweep."""
     if seed < 0:
         raise ConfigError(f"seed={seed} must be >= 0")
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
@@ -148,7 +149,7 @@ def _run_cell(model, vocab, pairs, spec, k=None, lam=None, suffix=None) -> EvalR
 
         def one(i, source):
             return simulate_sentence(model, vocab, cfg, suffix, source,
-                                     rng=_sentence_rng(spec.seed, i))
+                                     rng=sentence_rng(spec.seed, i))
         policy, value, suffix_id = "psfuture", lam, suffix.name
 
     hyps, g_records = [], []
@@ -205,9 +206,9 @@ def sweep_csv_lines(results: Sequence[EvalResult], spec: SweepSpec,
     return lines
 
 
-def emit_divergence_report(model, vocab, pair, suffix_spec, lam, path,
-                           rng=None) -> None:
-    """Write the divergence matrix as CSV plus the lambda-thresholded path.
+def divergence_report_lines(model, vocab, pair, suffix_spec, lam,
+                            rng=None) -> list[str]:
+    """CSV text for the divergence matrix plus the lambda-thresholded path.
 
     Rows are labelled with the reference target tokens; columns are source
     prefix lengths 1..N.
@@ -225,5 +226,4 @@ def emit_divergence_report(model, vocab, pair, suffix_spec, lam, path,
     lines.append("t,token,g")
     for t, g in threshold_path(matrix, lam):
         lines.append(f"{t},{vocab.token(pair.target[t - 1])},{g}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return lines

@@ -32,17 +32,11 @@ def _levels(length: int) -> list[int]:
 
 
 def backoff_probes(source_ctx: Sequence[int], target_ctx: Sequence[int]) -> list[Key]:
-    """All candidate keys for a query, most specific first."""
+    """All candidate keys for a query, most specific first, no two equal."""
     src = tuple(source_ctx)
     tgt = tuple(target_ctx)
-    probes: list[Key] = []
-    for sl in _levels(len(src)):
-        s = src[len(src) - sl:]
-        for tl in _levels(len(tgt)):
-            key = (s, tgt[len(tgt) - tl:])
-            if key not in probes:
-                probes.append(key)
-    return probes
+    tgt_suffixes = [tgt[len(tgt) - tl:] for tl in _levels(len(tgt))]
+    return [(src[len(src) - sl:], t) for sl in _levels(len(src)) for t in tgt_suffixes]
 
 
 class TableModel:

@@ -1,5 +1,5 @@
-"""The numeric flags of gen-corpus, train, simulate and sweep, at and past
-their limits, and the flags' defaults against the types that own them.
+"""The numeric flags of gen-corpus, train, simulate, sweep and divergence, at
+and past their limits, and the flags' defaults against the types that own them.
 
 At its limit a flag's command exits 0. Past it, the command exits 1 or 2
 with one line on stderr and no traceback, and writes no output file. The
@@ -53,6 +53,8 @@ def _commands(n_lines, n_ranked, fit_len):
                 ["o"])
     sweep = (["sweep", "--model", "{model}", "--src", "{src}", "--tgt", "{tgt}",
               "--out", "{out}/o"], ["o"])
+    divergence = (["divergence", "--model", "{model}", "--src", "{src}", "--tgt", "{tgt}",
+                   "--out", "{out}/o"], ["o"])
     random = ["--suffix", "random", "--random-top-k", "1"]  # a later flag wins
     psfuture = ["--policy", "psfuture", "--lambda", "0.2"]
     waitk = ["--policy", "waitk", "--k", "1"]
@@ -92,6 +94,12 @@ def _commands(n_lines, n_ranked, fit_len):
         ("sweep random-count", sweep, psfuture + random, "--random-count", 1, -1, 1),
         ("sweep random-top-k low", sweep, psfuture + random, "--random-top-k", 1, -1, 1),
         ("sweep random-top-k high", sweep, psfuture + random, "--random-top-k",
+         n_ranked, 1, 1),
+        ("divergence index low", divergence, [], "--index", 0, -1, 1),
+        ("divergence index high", divergence, [], "--index", n_lines - 1, 1, 1),
+        ("divergence random-count", divergence, random, "--random-count", 1, -1, 1),
+        ("divergence random-top-k low", divergence, random, "--random-top-k", 1, -1, 1),
+        ("divergence random-top-k high", divergence, random, "--random-top-k",
          n_ranked, 1, 1),
     ]
     return [(name, base + extra, outputs, flag, limit, direction, step)
@@ -164,6 +172,18 @@ def test_bad_setting_is_named_in_the_error(corpus, argv, message):
     assert code == 2, (argv, stdout)
     assert stderr.startswith(f"simtkit: ConfigError: {message}"), stderr
     assert len(stderr.splitlines()) == 1 and written == []
+
+
+@pytest.mark.parametrize("argv", [_SIMULATE, _DIVERGENCE], ids=["simulate", "divergence"])
+@pytest.mark.parametrize("side", ["low", "high"])
+def test_index_outside_the_corpus_is_named(corpus, argv, side):
+    paths, n_lines = corpus[:2]
+    index = -1 if side == "low" else n_lines
+    with tempfile.TemporaryDirectory() as out:
+        code, _, stderr = _run([a.format(out=out, **paths) for a in argv]
+                               + [f"--index={index}"])
+    assert code == 2
+    assert stderr == f"simtkit: ValueError: --index {index} outside corpus of {n_lines}\n"
 
 
 @pytest.mark.parametrize("argv", [_SIMULATE + ["--lambda=-inf"], _SIMULATE + ["--lambda=inf"],

@@ -15,7 +15,7 @@ from simtkit import (
     SyntheticSpec,
     UNIDIRECTIONAL,
     divergence_matrix,
-    emit_divergence_report,
+    divergence_report_lines,
     generate_corpus,
     psfuture_divergence,
     run_sweep,
@@ -25,6 +25,7 @@ from simtkit import (
 )
 from simtkit import sweep
 from simtkit.cli import main
+from simtkit.core import decode_sentence
 from simtkit.policy import _ProbeMemo
 
 
@@ -283,13 +284,11 @@ def test_sweep_csv_echoes_config():
 
 # -- divergence report -----------------------------------------------------------
 
-def test_divergence_report_file(tmp_path):
+def test_divergence_report_lines():
     vocab, pairs, model = generate_corpus(
         SyntheticSpec(kind="tail_first", vocab_size=8, n_range=(5, 5),
                       n_pairs=1, seed=3))
-    out = tmp_path / "div.csv"
-    emit_divergence_report(model, vocab, pairs[0], sk.OracleSuffix(), 0.2, out)
-    lines = out.read_text().splitlines()
+    lines = divergence_report_lines(model, vocab, pairs[0], sk.OracleSuffix(), 0.2)
     header = [l for l in lines if l.startswith("token,")][0]
     assert header == "token," + ",".join(str(g) for g in range(1, 6))
     assert "t,token,g" in lines
@@ -375,6 +374,88 @@ def test_cli_simulate_trace_and_determinism(tmp_path, capsys):
     records = [json.loads(line) for line in texts[0].splitlines()]
     assert records[-1]["summary"] is True
     assert all(r["kind"] in ("R", "W") for r in records[:-1])
+
+
+@pytest.mark.parametrize("world", [table_world, micro_world])
+def test_cli_simulate_replays_the_sweeps_sentence(monkeypatch, tmp_path, capsys, world):
+    """``simulate --src F --index I --seed S`` gives sentence I the trace,
+    hypothesis and g-record it gets in a sweep with seed S."""
+    vocab, pairs, model = world()
+    src, tgt, path = tmp_path / "s.txt", tmp_path / "t.txt", tmp_path / "m.json"
+    sk.write_parallel_corpus(pairs, vocab, src, tgt)
+    sk.save_model(model, path)
+    model = sk.load_model(path)
+    lambdas = (0.1, 0.3)
+    spec = SweepSpec(policy="psfuture", lambdas=lambdas, suffixes=("random",), r_max=4,
+                     max_target_len=12, seed=3, random_top_k=6)
+    _, sims, _ = sweep_recorded(monkeypatch, model, vocab, pairs, spec)
+    assert len(pairs) >= 4 and len(sims) == len(lambdas) * len(pairs)
+    capsys.readouterr()
+    for cell, lam in enumerate(lambdas):
+        for i in range(len(pairs)):
+            assert run_cli("simulate", "--model", str(path), "--src", str(src),
+                           "--index", str(i), "--lambda", repr(lam), "--suffix", "random",
+                           "--random-top-k", "6", "--r-max", "4", "--max-target-len", "12",
+                           "--seed", "3") == 0
+            *trace, summary = map(json.loads, capsys.readouterr().out.splitlines())
+            hypothesis, g_record, want_trace, _ = sims[cell * len(pairs) + i]
+            assert trace == want_trace, (lam, i)
+            assert summary["hypothesis"] == " ".join(decode_sentence(hypothesis, vocab))
+            assert summary["g_record"] == list(g_record)
+
+
+def test_inner_eos_source_exits_2_on_every_command(tmp_path, capsys):
+    """A source with an inner ``<eos>`` fails with the corpus loader's
+    message, whether simulate reads it from --src or from --sentence."""
+    vocab, _, model = copy_world(n_pairs=2)
+    src, tgt, path = tmp_path / "s.txt", tmp_path / "t.txt", tmp_path / "m.json"
+    sk.save_model(model, path)
+    src.write_text("w1 <eos> w2\n")
+    tgt.write_text("w1 w2\n")
+    with pytest.raises(sk.CorpusError) as loader:
+        sk.load_parallel_corpus(src, tgt, vocab=vocab)
+    out = str(tmp_path / "o")
+    for argv in (["simulate", "--src", str(src)],
+                 ["simulate", "--sentence", "w1 <eos> w2"],
+                 ["sweep", "--policy", "waitk", "--k", "1", "--src", str(src),
+                  "--tgt", str(tgt), "--out", out],
+                 ["divergence", "--src", str(src), "--tgt", str(tgt), "--out", out]):
+        capsys.readouterr()
+        assert run_cli(*argv, "--model", str(path)) == 2, argv
+        assert capsys.readouterr() == ("", f"simtkit: CorpusError: {loader.value}\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_text_reports_are_their_lines_on_file_or_stdout(tmp_path, capsys):
+    """Each text report is the library's lines, each ended by a newline, and
+    reads the same on stdout as in a file."""
+    src, tgt, path, out = (str(tmp_path / name) for name in ("s.txt", "t.txt", "m.json", "o"))
+    assert run_cli("gen-corpus", "--kind", "copy", "--vocab-size", "8", "--len-min", "4",
+                   "--len-max", "5", "--n-pairs", "4", "--seed", "2", "--out-src", src,
+                   "--out-tgt", tgt, "--out-model", path) == 0
+    model = sk.load_model(path)
+    vocab, pairs = sk.load_parallel_corpus(src, tgt, vocab=model.vocab)
+
+    def written(*argv):
+        assert run_cli(*argv, "--out", out) == 0
+        with open(out, "rb") as fh:
+            return fh.read().decode("utf-8")
+
+    for argv in (["simulate", "--model", path, "--src", src, "--index", "1"],
+                 ["eval", "--hyp", src, "--ref", tgt]):
+        capsys.readouterr()
+        assert run_cli(*argv) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.endswith("\n") and written(*argv) == stdout
+    spec = SweepSpec(policy="waitk", ks=(1,))
+    lines = sweep_csv_lines(run_sweep(model, vocab, pairs, spec), spec,
+                            {"model": path, "src": src, "tgt": tgt})
+    assert written("sweep", "--policy", "waitk", "--k", "1", "--model", path, "--src", src,
+                   "--tgt", tgt) == "\n".join(lines) + "\n"
+    lines = divergence_report_lines(model, vocab, pairs[0], suffix_from_name("eos", vocab),
+                                    sk.PolicyConfig.lam)
+    assert written("divergence", "--model", path, "--src", src, "--tgt", tgt,
+                   "--suffix", "eos") == "\n".join(lines) + "\n"
 
 
 def test_cli_usage_errors_exit_1(tmp_path, capsys):

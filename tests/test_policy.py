@@ -117,6 +117,18 @@ def test_random_suffix_requires_an_rng():
         divergence_matrix(model, vocab, pair, spec)
 
 
+@pytest.mark.parametrize("source", [(), (5,), (5, 1, 6, 1), (99, 1)],
+                         ids=["empty", "no EOS", "inner EOS", "id out of range"])
+def test_simulate_sentence_checks_its_source_as_validate_pair_does(source):
+    vocab = make_vocab()
+    with pytest.raises(sk.CorpusError) as want:
+        sk.validate_pair(sk.SentencePair(source=source, target=(5, 1)), vocab)
+    with pytest.raises(sk.CorpusError) as got:
+        simulate_sentence(HashedModel(len(vocab)), vocab, PolicyConfig(),
+                          suffix_from_name("eos", vocab), source)
+    assert str(got.value) == str(want.value)
+
+
 def test_random_suffix_checked_when_named():
     corpus = [[f"t{i}"] * (20 - i) for i in range(7)]
     vocab = sk.build_vocabulary(corpus)

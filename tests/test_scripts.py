@@ -1,5 +1,5 @@
-"""Smoke test: every example script imports what it needs from simtkit and
-parses its command line."""
+"""Smoke test: every example script parses its command line and runs end to
+end with its smallest arguments."""
 
 import os
 import subprocess
@@ -10,6 +10,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+# the smallest arguments each script runs with (about a second each)
+SMALLEST_ARGS = {
+    "copy_sweep_demo.py": ["--n-pairs", "10"],
+    "divergence_matrix_demo.py": [],
+    "p2f_benefit.py": ["--ratios", "0,1", "--epochs", "1"],
+}
 
 
 def test_scripts_found():
@@ -23,3 +29,12 @@ def test_script_help_exits_zero(script):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_script_runs_end_to_end(script):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(script), *SMALLEST_ARGS[script.name]], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
