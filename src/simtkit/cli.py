@@ -262,12 +262,15 @@ def _cmd_train(args) -> int:
 def _cmd_simulate(args) -> int:
     model = load_model(args.model)
     vocab = model.vocab
-    if args.sentence:  # sentence 0 of a one-line corpus
-        tokens, rng = args.sentence.split(), sentence_rng(args.seed, 0)
+    if args.sentence is not None:  # sentence 0 of a one-line corpus
+        lines = [args.sentence.split()]
+        tokens, rng = lines[0], sentence_rng(args.seed, 0)
     elif args.src:
-        tokens, rng = _pick(args, core.read_token_lines(args.src))
+        lines = core.read_token_lines(args.src)
+        tokens, rng = _pick(args, lines)
     else:
         raise ValueError("simulate needs --sentence or --src")
+    core._no_empty_sentence(lines)  # the corpus loader's rule
     source = encode_sentence(tokens, vocab)
     suffix = _suffix_spec(args, vocab)
     cfg = PolicyConfig(**{f.name: getattr(args, f.name)

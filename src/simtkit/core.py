@@ -69,6 +69,8 @@ class Vocabulary:
         if len(self.id_of) != len(self.tokens):
             raise ConfigError("duplicate tokens in vocabulary")
         for name, i in (("bos", self.bos), ("eos", self.eos), ("unk", self.unk)):
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                raise ConfigError(f"{name} id {i!r} is not an integer")
             if not (0 <= i < len(self.tokens)):
                 raise ConfigError(f"{name} id {i} out of range")
         if len({self.bos, self.eos, self.unk}) != 3:
@@ -149,7 +151,8 @@ class Distribution:
     """A probability vector over the vocabulary.
 
     Construction rejects negative entries and vectors whose mass is not
-    within 1e-9 of one. The underlying array is read-only.
+    within 1e-9 of one (a NaN entry gives a NaN mass, which fails too). The
+    underlying array is read-only.
     """
 
     __slots__ = ("probs",)
@@ -161,7 +164,7 @@ class Distribution:
         if np.any(vec < 0.0):
             raise ValueError("distribution has negative entries")
         total = float(vec.sum())
-        if abs(total - 1.0) > DIST_TOL:
+        if not abs(total - 1.0) <= DIST_TOL:  # NaN fails
             raise ValueError(f"distribution mass {total!r} not within {DIST_TOL} of 1")
         vec = vec.copy()
         vec.setflags(write=False)
@@ -275,6 +278,12 @@ def read_token_lines(path) -> list[list[str]]:
         return [line.split() for line in fh.read().splitlines()]
 
 
+def _no_empty_sentence(lines: Sequence[Sequence[str]]) -> None:
+    """Raise CorpusError if a corpus's tokenized ``lines`` hold an empty sentence."""
+    if any(not line for line in lines):
+        raise CorpusError("corpus contains an empty sentence")
+
+
 def encode_sentence(tokens: Sequence[str], vocab: Vocabulary) -> tuple[int, ...]:
     """Map tokens to ids (OOV -> UNK) and append EOS."""
     return tuple(vocab.id(t) for t in tokens) + (vocab.eos,)
@@ -311,8 +320,7 @@ def load_parallel_corpus(
     if len(src_lines) != len(tgt_lines):
         raise CorpusError(
             f"source/target line counts differ: {len(src_lines)} vs {len(tgt_lines)}")
-    if any(not line for line in src_lines) or any(not line for line in tgt_lines):
-        raise CorpusError("corpus contains an empty sentence")
+    _no_empty_sentence(src_lines + tgt_lines)
     if vocab is None:
         vocab = build_vocabulary(src_lines + tgt_lines)
 

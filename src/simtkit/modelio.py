@@ -8,6 +8,7 @@ ordering is fixed so saving the same model twice produces identical bytes.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -28,13 +29,34 @@ def _vocab_to_json(vocab: Vocabulary) -> dict:
     }
 
 
+# the Python types ``json`` reads: a JSON true is a bool, never a number
+_INT, _NUMBER, _STR, _LIST, _OBJECT = {int}, {int, float}, {str}, {list}, {dict}
+
+
+def _fields(objs, key, kinds, items=None) -> list:
+    """``obj[key]`` of each of the JSON objects ``objs``, if the type of each
+    is in ``kinds`` and, when ``items`` is given, the type of each of their
+    list items or object values is in ``items``."""
+    values = [obj.get(key) for obj in objs]
+    if not kinds.issuperset(map(type, values)) or items is not None and not items.issuperset(
+            map(type, chain.from_iterable(map(dict.values, values) if kinds is _OBJECT
+                                          else values))):
+        raise ModelFileError(f"model file field {key!r} is missing or has the wrong type")
+    return values
+
+
+def _field(obj, key, kinds, items=None):
+    return _fields([obj], key, kinds, items)[0]
+
+
 def _vocab_from_json(obj: dict) -> Vocabulary:
+    ranks = obj.get("freq_rank")
     return Vocabulary(
-        tokens=tuple(obj["tokens"]),
-        bos=obj["bos"],
-        eos=obj["eos"],
-        unk=obj["unk"],
-        freq_rank=obj.get("freq_rank"),
+        tokens=tuple(_field(obj, "tokens", _LIST, _STR)),
+        bos=obj.get("bos"),  # Vocabulary checks the special ids
+        eos=obj.get("eos"),
+        unk=obj.get("unk"),
+        freq_rank=None if ranks is None else _field(obj, "freq_rank", _OBJECT, _INT),
     )
 
 
@@ -86,32 +108,32 @@ def load_model(path):
         raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ModelFileError(f"{path} is not a simtkit model file")
-    if doc.get("format_version") != FORMAT_VERSION:
+    if type(doc.get("format_version")) is not int or doc["format_version"] != FORMAT_VERSION:
         raise ModelFileError(
             f"unsupported model format_version {doc.get('format_version')!r}")
 
-    vocab = _vocab_from_json(doc["vocab"]) if doc.get("vocab") else None
+    vocab = _vocab_from_json(_field(doc, "vocab", _OBJECT))
     if doc["kind"] == "micro":
-        if vocab is None:
-            raise ModelFileError("micro model file is missing its vocabulary")
-        meta = doc["meta"]
-        if meta["vocab_hash"] != vocab.hash_hex():
+        meta = _field(doc, "meta", _OBJECT)
+        d, max_len = _field(meta, "d", _INT), _field(meta, "max_len", _INT)
+        if _field(meta, "vocab_hash", _STR) != vocab.hash_hex():
             raise ModelFileError("vocab_hash does not match the embedded vocabulary")
-        shapes = tensor_shapes(len(vocab), meta["d"], meta["max_len"])
+        tensors = _field(doc, "tensors", _OBJECT, _OBJECT)
         params = {}
-        for name, shape in shapes.items():
-            entry = doc["tensors"].get(name)
-            if entry is None or tuple(entry["shape"]) != shape:
+        for name, shape in tensor_shapes(len(vocab), d, max_len).items():
+            if name not in tensors or tuple(_field(tensors[name], "shape", _LIST, _INT)) != shape:
                 raise ModelFileError(f"tensor {name!r} missing or has wrong shape")
-            params[name] = np.array(entry["data"], dtype=np.float64).reshape(shape)
-        return MicroModel(vocab, d=meta["d"], max_len=meta["max_len"],
-                          mode=meta["mode"], params=params)
+            data = _field(tensors[name], "data", _LIST, _NUMBER)
+            params[name] = np.array(data, dtype=np.float64).reshape(shape)
+        return MicroModel(vocab, d=d, max_len=max_len, mode=_field(meta, "mode", _STR),
+                          params=params)
     if doc["kind"] == "table":
-        if vocab is None:
-            raise ModelFileError("table model file is missing its vocabulary")
         if doc.get("backoff", BACKOFF_SCHEDULE) != BACKOFF_SCHEDULE:
             raise ModelFileError(f"unsupported backoff schedule {doc['backoff']!r}")
-        entries = {(tuple(e["src"]), tuple(e["tgt"])): np.array(e["dist"])
-                   for e in doc["entries"]}
-        return TableModel(len(vocab), entries, np.array(doc["default"]), vocab=vocab)
+        entries = _field(doc, "entries", _LIST, _OBJECT)
+        keys = zip(_fields(entries, "src", _LIST, _INT), _fields(entries, "tgt", _LIST, _INT))
+        dists = _fields(entries, "dist", _LIST, _NUMBER)
+        table = {(tuple(src), tuple(tgt)): np.array(dist) for (src, tgt), dist in zip(keys, dists)}
+        default = np.array(_field(doc, "default", _LIST, _NUMBER))
+        return TableModel(len(vocab), table, default, vocab=vocab)
     raise ModelFileError(f"unknown model kind {doc['kind']!r}")

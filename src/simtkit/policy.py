@@ -38,6 +38,7 @@ from .core import (
     WRITE,
     Vocabulary,
     _validate_sequence,
+    validate_pair,
 )
 
 # force-reason codes carried by trace records
@@ -154,6 +155,36 @@ def make_suffix(
     raise ConfigError(f"unknown suffix spec {spec!r}")
 
 
+def _check_lengths(model, source, suffixes=(), max_target_len=None, target=None,
+                   suffix_after_source=False, sentence=None) -> None:
+    """Raise ConfigError if one sentence's run could ask the model for more
+    than its ``max_len``; a model that declares no ``max_len`` is not checked.
+
+    The decoder reads BOS plus at most ``max_target_len - 1`` tokens, or, when
+    teacher-forced, ``len(target)`` rows. A source is read whole at most, and
+    the oracle suffix restores it; a fixed or random suffix follows at most
+    n - 1 read tokens, or all n with ``suffix_after_source`` (column N of
+    ``divergence_matrix``). Messages name ``sentence`` when it is given.
+    """
+    max_len = getattr(model, "max_len", None)
+    if max_len is None:
+        return
+    at = "" if sentence is None else f"sentence {sentence}: "
+    if max_target_len is not None and max_target_len > max_len:
+        raise ConfigError(f"max_target_len {max_target_len} exceeds "
+                          f"the model's max_len {max_len}")
+    for side, length in (("target", len(target or ())), ("source", len(source))):
+        if length > max_len:
+            raise ConfigError(f"{at}{side} length {length} exceeds max_len {max_len}")
+    appended = [(len(s.tokens) if isinstance(s, FixedSuffix) else s.count, s.name)
+                for s in suffixes if not isinstance(s, OracleSuffix)]
+    added, name = max(appended, default=(0, ""))
+    read = len(source) if suffix_after_source else len(source) - 1
+    if read + added > max_len:
+        raise ConfigError(f"{at}source length {read + added} ({read} tokens plus the "
+                          f"{added}-token {name} suffix) exceeds max_len {max_len}")
+
+
 # ---------------------------------------------------------------------------
 # Divergence probes and decisions
 # ---------------------------------------------------------------------------
@@ -237,10 +268,12 @@ def simulate_sentence(
     decision time, the divergence when one was computed, the force reason
     for writes, and the emitted token id for writes.
 
-    The source must be a valid side of a SentencePair (CorpusError otherwise).
+    The source must be a valid side of a SentencePair (CorpusError otherwise),
+    and the run must fit the model's ``max_len`` (ConfigError otherwise).
     """
     source = tuple(source)
     _validate_sequence("source", source, vocab)
+    _check_lengths(model, source, (suffix_spec,), max_target_len=cfg.max_target_len)
 
     n = len(source)
     j = min(cfg.initial_prefix, n)   # consumed source tokens
@@ -326,8 +359,11 @@ def simulate_waitk(
     source: Sequence[int],
     max_target_len: int = PolicyConfig.max_target_len,
 ) -> SimulationResult:
-    """Greedy decoding under the fixed wait-k schedule."""
+    """Greedy decoding under the fixed wait-k schedule; the source and the
+    lengths are checked as in ``simulate_sentence``."""
     source = tuple(source)
+    _validate_sequence("source", source, vocab)
+    _check_lengths(model, source, max_target_len=max_target_len)
     n = len(source)
     hyp: list[int] = []
     g_rec: list[int] = []
@@ -372,7 +408,11 @@ def divergence_matrix(
     With the oracle suffix the g = N column is defined as zero: no future
     remains to append. Probes go through one memo per matrix: with the
     ``eos`` suffix the pseudo probe at g = N - 1 is the plain probe at g = N.
+    The pair and the lengths are checked before the first probe.
     """
+    validate_pair(pair, vocab)
+    _check_lengths(model, pair.source, (suffix_spec,), target=pair.target,
+                   suffix_after_source=True)
     model = _ProbeMemo(model)
     n = len(pair.source)
     t_len = len(pair.target)

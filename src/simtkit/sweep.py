@@ -17,10 +17,9 @@ import numpy as np
 from .core import ConfigError, PolicyConfig, SentencePair, Vocabulary
 from .metrics import EvalResult, evaluate_run
 from .policy import (
-    FixedSuffix,
-    OracleSuffix,
     RandomSuffix,
     _ProbeMemo,
+    _check_lengths,
     divergence_matrix,
     simulate_sentence,
     simulate_waitk,
@@ -99,7 +98,9 @@ def run_sweep(
                                      random_count=spec.random_count,
                                      random_top_k=spec.random_top_k)
                     for name in spec.suffixes]
-    _check_lengths(model, pairs, spec, suffixes)
+    for i, pair in enumerate(pairs):
+        _check_lengths(model, pair.source, suffixes, max_target_len=spec.max_target_len,
+                       sentence=i)
     memo = _ProbeMemo(model)
     if spec.policy == "waitk":
         results = [_run_cell(memo, vocab, pairs, spec, k=k) for k in spec.ks]
@@ -108,34 +109,6 @@ def run_sweep(
                    for suffix in suffixes for lam in spec.lambdas]
     results.sort(key=lambda r: (r.al, r.lambda_or_k, r.suffix))
     return results
-
-
-def _check_lengths(model, pairs, spec, suffixes) -> None:
-    """Raise ConfigError if some query of the sweep could exceed the model's
-    ``max_len``.
-
-    A psfuture probe appends a fixed or random suffix to at most n - 1 read
-    tokens (the source is not exhausted); the oracle suffix restores the
-    n-token source, and every other query reads at most the whole source.
-    Decoder inputs hold BOS plus at most ``max_target_len - 1`` tokens.
-    """
-    max_len = getattr(model, "max_len", None)
-    if max_len is None:
-        return
-    if spec.max_target_len > max_len:
-        raise ConfigError(f"max_target_len {spec.max_target_len} exceeds "
-                          f"the model's max_len {max_len}")
-    appended = [(len(s.tokens) if isinstance(s, FixedSuffix) else s.count, s.name)
-                for s in suffixes if not isinstance(s, OracleSuffix)]
-    added, name = max(appended, default=(0, ""))
-    for i, pair in enumerate(pairs):
-        n = len(pair.source)
-        if n > max_len:
-            raise ConfigError(f"sentence {i}: source length {n} exceeds max_len {max_len}")
-        if n - 1 + added > max_len:
-            raise ConfigError(
-                f"sentence {i}: source length {n - 1 + added} ({n - 1} tokens plus the "
-                f"{added}-token {name} suffix) exceeds max_len {max_len}")
 
 
 def _run_cell(model, vocab, pairs, spec, k=None, lam=None, suffix=None) -> EvalResult:

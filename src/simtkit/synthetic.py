@@ -15,7 +15,8 @@ otherwise ("possible" = achievable by some source completion consistent
 with the corpus length bounds). Entries are materialized for every true
 prefix context of every pair, plus every prefix-closed-with-EOS context so
 that EOS-style pseudo-future probes also resolve exactly. Anything else
-falls back to the uniform default.
+falls back to the default: uniform over the tokens the language can emit,
+EOS and the content tokens (never BOS or UNK).
 """
 
 from __future__ import annotations
@@ -177,6 +178,6 @@ def generate_corpus(spec: SyntheticSpec) -> tuple[Vocabulary, list[SentencePair]
                         spec.vocab_size, spec.kind, spec.window, bounds,
                         content_ids, eos, ctx, t)
 
-    model = TableModel(spec.vocab_size, entries,
-                       uniform_distribution(spec.vocab_size).probs, vocab=vocab)
+    default = uniform_distribution(spec.vocab_size, (eos,) + content_ids)
+    model = TableModel(spec.vocab_size, entries, default.probs, vocab=vocab)
     return vocab, pairs, model

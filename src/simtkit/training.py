@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import ConfigError, NumericError, SentencePair
 from .micro import MicroModel, UNIDIRECTIONAL, sgd_step
-from .policy import waitk_g
+from .policy import _check_lengths, waitk_g
 
 REGIMES = ("offline", "multipath", "p2f")
 
@@ -112,11 +112,15 @@ class TrainResult:
 def train(model: MicroModel, corpus: Sequence[SentencePair], cfg: TrainConfig) -> TrainResult:
     """Run epochs of shuffled minibatch SGD under the configured regime.
 
-    On a NaN loss, parameters are rolled back to the start of the epoch and
-    NumericError is raised (the rolled-back model is the last good state).
+    Every pair is checked against the model's ``max_len`` before the first
+    step (ConfigError), so a pair that does not fit leaves the model as it
+    was. On a NaN loss, parameters are rolled back to the start of the epoch
+    and NumericError is raised (the rolled-back model is the last good state).
     """
     if not corpus:
         raise ConfigError("training corpus is empty")
+    for i, pair in enumerate(corpus):
+        _check_lengths(model, pair.source, target=pair.target, sentence=i)
     seeds = np.random.SeedSequence(cfg.seed).spawn(2)
     shuffle_rng = np.random.default_rng(seeds[0])
     regime_rng = np.random.default_rng(seeds[1])

@@ -74,6 +74,10 @@ def test_vocab_invariants_enforced():
     with pytest.raises(ConfigError):
         Vocabulary(tokens=("a", "b", "c", "d"), bos=0, eos=1, unk=2,
                    freq_rank={"d": 2})  # ranks must start at 1
+    for bad in (1.5, "1", None, True, np.float64(1.0)):
+        with pytest.raises(ConfigError, match=r"^eos id .* is not an integer$"):
+            Vocabulary(tokens=("a", "b", "c"), bos=0, eos=bad, unk=2)
+    Vocabulary(tokens=("a", "b", "c"), bos=np.int64(0), eos=1, unk=2)
 
 
 # -- distributions ----------------------------------------------------------
@@ -87,6 +91,9 @@ def test_distribution_accepts_valid_rejects_invalid():
         Distribution([-0.1, 1.1])
     with pytest.raises(ValueError):
         Distribution([0.5, 0.5 - 1e-6])
+    for bad in ([np.nan, 0.5, 0.5], [np.nan], [None, 1.0], [np.inf, np.nan]):
+        with pytest.raises(ValueError, match="distribution mass"):
+            Distribution(bad)  # a NaN entry makes a NaN mass
 
 
 @given(st.lists(st.floats(min_value=0.001, max_value=10.0), min_size=2, max_size=30))

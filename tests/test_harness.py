@@ -10,6 +10,7 @@ from simtkit import (
     Distribution,
     MicroModel,
     NumericError,
+    PolicyConfig,
     SentencePair,
     SweepSpec,
     SyntheticSpec,
@@ -20,6 +21,8 @@ from simtkit import (
     psfuture_divergence,
     run_sweep,
     sgd_step,
+    simulate_sentence,
+    simulate_waitk,
     suffix_from_name,
     sweep_csv_lines,
 )
@@ -143,6 +146,58 @@ def test_sweep_failure_names_the_sentence():
                      max_target_len=8, random_top_k=6)
     with pytest.raises(RuntimeError, match=r"at sentence 2: .*max_len 16"):
         run_sweep(undeclared, vocab, pairs, spec)
+
+
+def test_simulate_checks_lengths_before_the_first_forward():
+    vocab, pairs, model = long_source_world()
+    counting = CountingModel(model)
+    source = pairs[2].source  # 15 tokens: 14 read before the last suffix
+    random = suffix_from_name("random", vocab, random_top_k=6)
+    with pytest.raises(ConfigError, match=r"^source length 18 \(14 tokens plus the "
+                                          r"4-token random suffix\) exceeds max_len 16$"):
+        simulate_sentence(counting, vocab, PolicyConfig(lam=-1.0, max_target_len=8),
+                          random, source, rng=np.random.default_rng(0))
+    # the sweep's decoder rule: the default max_target_len 64 does not fit
+    with pytest.raises(ConfigError, match="^max_target_len 64 exceeds the model's max_len 16$"):
+        simulate_sentence(counting, vocab, PolicyConfig(), suffix_from_name("eos", vocab),
+                          pairs[0].source)
+    assert counting.forwards == 0
+    sim = simulate_sentence(counting, vocab, PolicyConfig(lam=-1.0, max_target_len=16),
+                            suffix_from_name("oracle", vocab), source)
+    assert counting.forwards > 0 and len(sim.hypothesis) <= 16
+
+
+def test_waitk_checks_lengths_before_the_first_forward():
+    vocab, pairs, model = long_source_world()
+    counting = CountingModel(model)
+    too_long = tuple(vocab.id(f"w{i % 6}") for i in range(16)) + (vocab.eos,)
+    with pytest.raises(ConfigError, match="^source length 17 exceeds max_len 16$"):
+        simulate_waitk(counting, vocab, 3, too_long, max_target_len=8)
+    with pytest.raises(ConfigError, match="^max_target_len 17 exceeds the model's max_len 16$"):
+        simulate_waitk(counting, vocab, 3, pairs[0].source, max_target_len=17)
+    assert counting.forwards == 0
+    simulate_waitk(counting, vocab, 3, pairs[2].source, max_target_len=16)
+    assert counting.forwards > 0
+
+
+def test_divergence_matrix_checks_lengths_before_the_first_forward():
+    vocab, pairs, model = long_source_world()
+    counting = CountingModel(model)
+    full = tuple(vocab.id(f"w{i % 6}") for i in range(15)) + (vocab.eos,)  # 16 tokens
+    # column N asks the whole source plus the suffix
+    fits_alone = SentencePair(source=full, target=pairs[0].target)
+    with pytest.raises(ConfigError, match=r"^source length 17 \(16 tokens plus the "
+                                          r"1-token eos suffix\) exceeds max_len 16$"):
+        divergence_matrix(counting, vocab, fits_alone, suffix_from_name("eos", vocab))
+    # the decoder reads BOS plus all but the last target token
+    long_target = SentencePair(source=pairs[0].source, target=(vocab.id("w1"),) * 16
+                               + (vocab.eos,))
+    with pytest.raises(ConfigError, match="^target length 17 exceeds max_len 16$"):
+        divergence_matrix(counting, vocab, long_target, suffix_from_name("oracle", vocab))
+    assert counting.forwards == 0
+    # the oracle suffix restores the 16-token source and no more
+    oracle = divergence_matrix(counting, vocab, fits_alone, suffix_from_name("oracle", vocab))
+    assert oracle.values.shape == (len(fits_alone.target), 16) and counting.forwards > 0
 
 
 def sweep_recorded(monkeypatch, model, vocab, pairs, spec, memo=True):

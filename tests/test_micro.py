@@ -119,11 +119,27 @@ def test_sentence_cache_is_dropped_on_exit():
             m.next_dist((3, 4, 1), (5,))
             m.next_dist((3,) * 20, ())
     assert m._stages is None
-    # the owners of a sentence drop it when they raise too
+    # the owners of a sentence drop it when they raise too; a wrapper that
+    # declares no max_len gets no length check, so the matrix fails midway
+    class Undeclared:
+        max_len = None
+
+        def __init__(self, model):
+            self.model = model
+            self.forwards = 0
+
+        def next_dist(self, *query):
+            self.forwards += 1
+            return self.model.next_dist(*query)
+
+        def __getattr__(self, name):
+            return getattr(self.model, name)
+
     too_long = SentencePair(source=(3,) * 12 + (1,), target=(3, 1))
+    undeclared = Undeclared(m)
     with pytest.raises(CapacityError):
-        divergence_matrix(m, m.vocab, too_long, suffix_from_name("eos", m.vocab))
-    assert m._stages is None
+        divergence_matrix(undeclared, m.vocab, too_long, suffix_from_name("eos", m.vocab))
+    assert undeclared.forwards > 0 and m._stages is None
 
 
 def test_no_stage_outlives_its_sentence_cache():

@@ -117,8 +117,11 @@ def test_random_suffix_requires_an_rng():
         divergence_matrix(model, vocab, pair, spec)
 
 
-@pytest.mark.parametrize("source", [(), (5,), (5, 1, 6, 1), (99, 1)],
-                         ids=["empty", "no EOS", "inner EOS", "id out of range"])
+BAD_SOURCES = pytest.mark.parametrize("source", [(), (5,), (5, 1, 6, 1), (99, 1)],
+                                      ids=["empty", "no EOS", "inner EOS", "id out of range"])
+
+
+@BAD_SOURCES
 def test_simulate_sentence_checks_its_source_as_validate_pair_does(source):
     vocab = make_vocab()
     with pytest.raises(sk.CorpusError) as want:
@@ -127,6 +130,20 @@ def test_simulate_sentence_checks_its_source_as_validate_pair_does(source):
         simulate_sentence(HashedModel(len(vocab)), vocab, PolicyConfig(),
                           suffix_from_name("eos", vocab), source)
     assert str(got.value) == str(want.value)
+
+
+@BAD_SOURCES
+def test_waitk_and_divergence_check_their_input_as_validate_pair_does(source):
+    vocab = make_vocab()
+    model = HashedModel(len(vocab))
+    pair = sk.SentencePair(source=source, target=(5, 1))
+    with pytest.raises(sk.CorpusError) as want:
+        sk.validate_pair(pair, vocab)
+    with pytest.raises(sk.CorpusError) as waitk:
+        simulate_waitk(model, vocab, 1, source)
+    with pytest.raises(sk.CorpusError) as matrix:
+        divergence_matrix(model, vocab, pair, suffix_from_name("eos", vocab))
+    assert str(waitk.value) == str(matrix.value) == str(want.value)
 
 
 def test_random_suffix_checked_when_named():

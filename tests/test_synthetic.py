@@ -114,6 +114,18 @@ def test_tail_first_table_first_token_cells():
         assert delta[p.target[0]] == 1.0 and np.count_nonzero(delta) == 1
 
 
+@pytest.mark.parametrize("kind", ["copy", "local_swap", "tail_first"])
+def test_table_default_is_uniform_over_emittable_tokens(kind):
+    vocab, _, model = generate_corpus(SyntheticSpec(kind=kind, vocab_size=8, seed=2))
+    emittable = [vocab.eos] + [i for i in range(len(vocab)) if i >= 3]
+    probs = model.default.probs
+    assert probs[vocab.bos] == probs[vocab.unk] == 0.0
+    assert set(probs[emittable]) == {1.0 / len(emittable)}
+    # a context the language never produces writes EOS, not BOS
+    off_table = model.next_dist((vocab.unk, vocab.eos), (vocab.unk,) * 3)
+    assert off_table is model.default and off_table.argmax() == vocab.eos
+
+
 def test_copy_table_determined_cells_are_correct_deltas():
     vocab, pairs, model = generate_corpus(
         SyntheticSpec(kind="copy", vocab_size=8, n_range=(4, 6), n_pairs=5, seed=4))

@@ -199,6 +199,41 @@ def test_training_divergence_rolls_back_and_raises():
     assert all(np.isfinite(v).all() for v in m.params.values())
 
 
+class CountingForwards:
+    """Counts the training forwards asked of a model and passes every other
+    attribute through."""
+
+    def __init__(self, model):
+        self.model = model
+        self.forwards = 0
+
+    def loss_and_grads(self, batch):
+        self.forwards += len(batch)
+        return self.model.loss_and_grads(batch)
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_train_checks_lengths_before_the_first_step(side):
+    vocab, pairs = copy_corpus(n_pairs=6)
+    long = (vocab.id("w1"),) * 9 + (vocab.eos,)  # 10 tokens
+    short = pairs[3].source
+    pairs[3] = sk.SentencePair(source=long if side == "source" else short,
+                               target=long if side == "target" else short)
+    model = MicroModel(vocab, d=4, max_len=8, seed=0)
+    before = model.clone_params()
+    counting = CountingForwards(model)
+    with pytest.raises(ConfigError, match=f"^sentence 3: {side} length 10 exceeds max_len 8$"):
+        train(counting, pairs, TrainConfig(epochs=1, batch_size=1))
+    assert counting.forwards == 0
+    assert all(model.params[k].tobytes() == before[k].tobytes() for k in before)
+    del pairs[3]
+    train(counting, pairs, TrainConfig(epochs=1, batch_size=1))
+    assert counting.forwards == len(pairs)
+
+
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(regime="nope")
