@@ -178,16 +178,13 @@ class Distribution:
         return int(np.argmax(self.probs))
 
 
-def uniform_distribution(n_vocab: int, support: Sequence[int] | None = None) -> Distribution:
-    """Uniform over ``support`` ids (or the whole vocabulary)."""
+def uniform_distribution(n_vocab: int, support: Iterable[int]) -> Distribution:
+    """Uniform over the ``support`` ids of an ``n_vocab``-token vocabulary."""
+    ids = sorted(set(support))
+    if not ids:
+        raise ValueError("empty support")
     vec = np.zeros(n_vocab)
-    if support is None:
-        vec[:] = 1.0 / n_vocab
-    else:
-        ids = sorted(set(support))
-        if not ids:
-            raise ValueError("empty support")
-        vec[ids] = 1.0 / len(ids)
+    vec[ids] = 1.0 / len(ids)
     return Distribution(vec)
 
 

@@ -8,11 +8,13 @@ ordering is fixed so saving the same model twice produces identical bytes.
 from __future__ import annotations
 
 import json
+from array import array
+from functools import cache
 from itertools import chain
 
 import numpy as np
 
-from .core import ModelFileError, Vocabulary
+from .core import Distribution, ModelFileError, Vocabulary
 from .micro import MicroModel, tensor_shapes
 from .tables import BACKOFF_SCHEDULE, TableModel
 
@@ -79,8 +81,6 @@ def save_model(model, path) -> None:
             },
         }
     elif isinstance(model, TableModel):
-        if model.vocab is None:
-            raise ModelFileError("table model has no vocabulary attached")
         doc = {
             "format_version": FORMAT_VERSION,
             "kind": "table",
@@ -94,9 +94,9 @@ def save_model(model, path) -> None:
         }
     else:
         raise ModelFileError(f"cannot serialize model of type {type(model).__name__}")
+    text = json.dumps(doc, sort_keys=True) + "\n"  # dumps uses the C encoder; dump does not
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_model(path):
@@ -131,9 +131,16 @@ def load_model(path):
         if doc.get("backoff", BACKOFF_SCHEDULE) != BACKOFF_SCHEDULE:
             raise ModelFileError(f"unsupported backoff schedule {doc['backoff']!r}")
         entries = _field(doc, "entries", _LIST, _OBJECT)
-        keys = zip(_fields(entries, "src", _LIST, _INT), _fields(entries, "tgt", _LIST, _INT))
-        dists = _fields(entries, "dist", _LIST, _NUMBER)
-        table = {(tuple(src), tuple(tgt)): np.array(dist) for (src, tgt), dist in zip(keys, dists)}
-        default = np.array(_field(doc, "default", _LIST, _NUMBER))
-        return TableModel(len(vocab), table, default, vocab=vocab)
+        keys = zip(map(tuple, _fields(entries, "src", _LIST, _INT)),
+                   map(tuple, _fields(entries, "tgt", _LIST, _INT)))
+        # one Distribution per distinct row, keyed on the row's exact float64
+        # bytes so that a 0.0 row and a -0.0 row stay apart
+        dist = cache(lambda data: Distribution(np.frombuffer(data)))
+        table = {}
+        for key, row in zip(keys, _fields(entries, "dist", _LIST, _NUMBER)):
+            if key in table:
+                raise ModelFileError(f"table entry (src, tgt) = {key} appears twice")
+            table[key] = dist(array("d", row).tobytes())
+        default = array("d", _field(doc, "default", _LIST, _NUMBER))
+        return TableModel(vocab, table, dist(default.tobytes()))
     raise ModelFileError(f"unknown model kind {doc['kind']!r}")

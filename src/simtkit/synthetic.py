@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 
@@ -134,11 +135,6 @@ def possible_next_tokens(
     return out
 
 
-def _context_dist(n_vocab, kind, window, m_bounds, content_ids, eos, src_ctx, t):
-    support = possible_next_tokens(kind, window, m_bounds, content_ids, eos, src_ctx, t)
-    return uniform_distribution(n_vocab, sorted(support)).probs
-
-
 def generate_corpus(spec: SyntheticSpec) -> tuple[Vocabulary, list[SentencePair], TableModel]:
     """Generate aligned pairs plus the exact table model of the language."""
     n_content = spec.vocab_size - 3
@@ -164,6 +160,8 @@ def generate_corpus(spec: SyntheticSpec) -> tuple[Vocabulary, list[SentencePair]
     freq_rank = {tokens[i]: r for r, i in enumerate(ranked, start=1)}
     vocab = Vocabulary(tokens=tokens, bos=0, eos=1, unk=2, freq_rank=freq_rank)
 
+    # one shared uniform Distribution per distinct support (a frozenset)
+    dist = cache(partial(uniform_distribution, spec.vocab_size))
     entries = {}
     bounds = (m_lo, m_hi)
     for pair in pairs:
@@ -174,10 +172,7 @@ def generate_corpus(spec: SyntheticSpec) -> tuple[Vocabulary, list[SentencePair]
             for t in range(1, len(pair.target) + 1):
                 key = (ctx, pair.target[:t - 1])
                 if key not in entries:
-                    entries[key] = _context_dist(
-                        spec.vocab_size, spec.kind, spec.window, bounds,
-                        content_ids, eos, ctx, t)
+                    entries[key] = dist(frozenset(possible_next_tokens(
+                        spec.kind, spec.window, bounds, content_ids, eos, ctx, t)))
 
-    default = uniform_distribution(spec.vocab_size, (eos,) + content_ids)
-    model = TableModel(spec.vocab_size, entries, default.probs, vocab=vocab)
-    return vocab, pairs, model
+    return vocab, pairs, TableModel(vocab, entries, dist(frozenset((eos,) + content_ids)))

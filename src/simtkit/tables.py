@@ -7,11 +7,10 @@ can be verified against hand derivations.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from .core import Distribution
+from .core import Distribution, Vocabulary
 
 # Fixed truncation schedule: with the full source context, try the full
 # target context, then target suffixes of length 2, 1, 0; then truncate the
@@ -40,29 +39,23 @@ def backoff_probes(source_ctx: Sequence[int], target_ctx: Sequence[int]) -> list
 
 
 class TableModel:
-    """Next-token distribution table keyed by (source ctx, target ctx)."""
+    """Next-token distribution table keyed by (source ctx, target ctx).
 
-    def __init__(
-        self,
-        n_vocab: int,
-        entries: Mapping[Key, np.ndarray | Sequence[float]],
-        default: np.ndarray | Sequence[float],
-        vocab=None,
-    ):
-        self.n_vocab = n_vocab
+    ``entries`` and ``default`` hold ``Distribution``s over ``vocab``, kept as
+    given: entries with equal rows may share one object, since its array is
+    read-only.
+    """
+
+    def __init__(self, vocab: Vocabulary, entries: Mapping[Key, Distribution],
+                 default: Distribution):
+        for dist in chain([default], entries.values()):
+            if not isinstance(dist, Distribution):
+                raise ValueError(f"table value of type {type(dist).__name__} is not a Distribution")
+            if len(dist) != len(vocab):
+                raise ValueError(f"distribution length {len(dist)} != vocab size {len(vocab)}")
         self.vocab = vocab
-        self.default = self._as_dist(default, n_vocab)
-        self.entries: dict[Key, Distribution] = {}
-        for (src, tgt), dist in entries.items():
-            key = (tuple(src), tuple(tgt))
-            self.entries[key] = self._as_dist(dist, n_vocab)
-
-    @staticmethod
-    def _as_dist(vec, n_vocab: int) -> Distribution:
-        dist = Distribution(vec)
-        if len(dist) != n_vocab:
-            raise ValueError(f"distribution length {len(dist)} != vocab size {n_vocab}")
-        return dist
+        self.entries: dict[Key, Distribution] = dict(entries)
+        self.default = default
 
     def next_dist(self, source_prefix: Sequence[int], target_prefix: Sequence[int]) -> Distribution:
         """Longest-match lookup over the backoff schedule; total by construction.

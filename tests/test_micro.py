@@ -299,15 +299,15 @@ def test_truncated_model_file_rejected(tmp_path):
 
 
 def test_table_model_round_trip_lookup_traces(tmp_path):
-    from simtkit import TableModel, uniform_distribution
+    from simtkit import Distribution, TableModel, uniform_distribution
     vocab = make_vocab(3)
     n = len(vocab)
     entries = {
-        ((3,), ()): np.eye(n)[3],
-        ((3, 4), (3,)): np.eye(n)[4],
-        ((4,), ()): uniform_distribution(n, [3, 4]).probs,
+        ((3,), ()): Distribution(np.eye(n)[3]),
+        ((3, 4), (3,)): Distribution(np.eye(n)[4]),
+        ((4,), ()): uniform_distribution(n, [3, 4]),
     }
-    model = TableModel(n, entries, uniform_distribution(n).probs, vocab=vocab)
+    model = TableModel(vocab, entries, uniform_distribution(n, range(n)))
     path = tmp_path / "t.json"
     save_model(model, path)
     model2 = load_model(path)

@@ -386,8 +386,8 @@ def _graded_copy_model(vocab, content, eps_by_j):
         for t in range(1, len(target) + 1):
             vec = eps * uni.copy()
             vec[target[t - 1]] += 1.0 - eps
-            entries[(source[:j], target[:t - 1])] = vec
-    return TableModel(n_vocab, entries, uni, vocab=vocab), source, target
+            entries[(source[:j], target[:t - 1])] = Distribution(vec)
+    return TableModel(vocab, entries, Distribution(uni)), source, target
 
 
 def test_threshold_monotonicity_on_graded_model():

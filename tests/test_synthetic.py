@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import simtkit as sk
 from simtkit import ConfigError, SyntheticSpec, generate_corpus, validate_pair
+from simtkit.cli import main
 from simtkit.synthetic import _source_index, possible_next_tokens
 
 
@@ -158,3 +160,22 @@ def test_freq_rank_reflects_corpus_counts():
     ranked = sorted(counts, key=lambda i: (-counts[i], i))
     for rank, tok_id in enumerate(ranked, start=1):
         assert vocab.freq_rank[vocab.token(tok_id)] == rank
+
+
+# sha256 of small `gen-corpus --out-model` files: a change that moves any
+# byte of a model file (a float, the key order, the layout) shows here
+MODEL_FILE_SHA256 = {
+    ("copy", 2): "39f510893363cbfb43be581779339da9b50a94a3329fcf5b78d41a04a0fc3e5c",
+    ("local-swap", 5): "05cd1133795032e99c651dbbbce1673a17e2c3752f2dfaa0c8010f49b5b34b4f",
+    ("tail-first", 7): "422fdb43cab6c6b1bc7948b0388d4d7b0714b801c78b1551e5608a080701de4c",
+}
+
+
+@pytest.mark.parametrize("kind, seed", sorted(MODEL_FILE_SHA256))
+def test_gen_corpus_model_file_bytes_are_pinned(tmp_path, kind, seed):
+    out = tmp_path / "table.json"
+    assert main(["gen-corpus", "--kind", kind, "--vocab-size", "8", "--len-min", "4",
+                 "--len-max", "7", "--n-pairs", "6", "--window", "3", "--seed", str(seed),
+                 "--out-src", str(tmp_path / "s"), "--out-tgt", str(tmp_path / "t"),
+                 "--out-model", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MODEL_FILE_SHA256[kind, seed]

@@ -1,16 +1,30 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from simtkit import (
+    Distribution,
     ModelFileError,
+    SyntheticSpec,
     TableModel,
-    Vocabulary,
+    generate_corpus,
     load_model,
     save_model,
     uniform_distribution,
 )
+from simtkit.core import DIST_TOL
 from simtkit.tables import backoff_probes
+
+from conftest import make_vocab
+
+
+def _table(n, entries):
+    """A table over an ``n``-token vocabulary whose default is uniform."""
+    return TableModel(make_vocab(n - 3), {key: Distribution(vec) for key, vec in entries.items()},
+                      uniform_distribution(n, range(n)))
 
 
 def _oracle_probe_order(src, tgt):
@@ -44,8 +58,7 @@ def _linear_scan_lookup(entry_items, src, tgt, default):
 
 def test_copy_delta_and_default_lookup():
     n = 6
-    entries = {((3,), ()): np.eye(n)[3]}
-    model = TableModel(n, entries, uniform_distribution(n).probs)
+    model = _table(n, {((3,), ()): np.eye(n)[3]})
     assert model.next_dist((3,), ()).argmax() == 3
     # unseen context falls through to the uniform default
     out = model.next_dist((4, 5), (3,)).probs
@@ -55,8 +68,7 @@ def test_copy_delta_and_default_lookup():
 def test_entry_at_truncation_level_found():
     n = 6
     # only a target-suffix-1 entry exists for this source context
-    entries = {((3, 4), (5,)): np.eye(n)[2]}
-    model = TableModel(n, entries, uniform_distribution(n).probs)
+    model = _table(n, {((3, 4), (5,)): np.eye(n)[2]})
     out = model.next_dist((3, 4), (4, 4, 5))  # full target (4,4,5) misses
     assert out.argmax() == 2
 
@@ -73,7 +85,7 @@ def test_lookup_matches_linear_scan_oracle(data):
         key = (data.draw(seqs), data.draw(seqs))
         vec = rng.random(n) + 0.01
         entries[key] = vec / vec.sum()
-    model = TableModel(n, entries, uniform_distribution(n).probs)
+    model = _table(n, entries)
     entry_items = list(model.entries.items())
     for _ in range(5):
         src, tgt = data.draw(seqs), data.draw(seqs)
@@ -98,7 +110,7 @@ def test_determinism_and_totality_on_random_queries():
         tgt = tuple(int(x) for x in rng.integers(0, n, size=rng.integers(0, 4)))
         vec = rng.random(n) + 0.01
         entries[(src, tgt)] = vec / vec.sum()
-    model = TableModel(n, entries, uniform_distribution(n).probs)
+    model = _table(n, entries)
     for _ in range(10_000):
         src = tuple(int(x) for x in rng.integers(0, n, size=rng.integers(1, 6)))
         tgt = tuple(int(x) for x in rng.integers(0, n, size=rng.integers(0, 5)))
@@ -109,13 +121,122 @@ def test_determinism_and_totality_on_random_queries():
 
 def test_bad_backoff_and_bad_dist_rejected(tmp_path):
     n = 4
-    vocab = Vocabulary(tokens=("<bos>", "<eos>", "<unk>", "w0"), bos=0, eos=1, unk=2)
     path = tmp_path / "t.json"
-    save_model(TableModel(n, {}, uniform_distribution(n).probs, vocab=vocab), path)
+    save_model(_table(n, {}), path)
     text = path.read_text()
     assert '"backoff": "t2,t1,t0,s*"' in text
     path.write_text(text.replace('"backoff": "t2,t1,t0,s*"', '"backoff": "bogus"'))
     with pytest.raises(ModelFileError, match="bogus"):
         load_model(path)
     with pytest.raises(ValueError):
-        TableModel(n, {((0,), ()): [0.5, 0.5]}, uniform_distribution(n).probs)
+        _table(n, {((0,), ()): [0.5, 0.5]})
+    with pytest.raises(ValueError):  # a table holds Distributions, not arrays
+        TableModel(make_vocab(n - 3), {((0,), ()): np.full(n, 1 / n)},
+                   uniform_distribution(n, range(n)))
+
+
+# --- table files: one Distribution per distinct row -------------------------
+
+N = 5  # vocabulary size of the hand-built table files below
+GOOD_ROWS = [list(np.eye(N)[3]), [0.0, 0.5, 0.0, 0.5, 0.0], [0.2] * N,
+             [0.0, 1.0, 0.0, 0.0, -0.0], [0.0, 1.0, 0.0, 0.0, 0.0]]
+BAD_ROWS = {
+    "nan": [float("nan"), 1.0, 0.0, 0.0, 0.0],
+    "negative": [-0.25, 1.25, 0.0, 0.0, 0.0],
+    "short": [0.25] * (N - 1),
+    "long": [1.0 / (N + 1)] * (N + 1),
+    "mass": [0.0, 0.5, 0.0, 0.5 + 10 * DIST_TOL, 0.0],
+}
+
+
+def _table_doc(rows, default):
+    """A table file's document whose entries hold ``rows`` in order."""
+    vocab = make_vocab(N - 3)
+    return {"format_version": 1, "kind": "table", "backoff": "t2,t1,t0,s*",
+                "vocab": {"tokens": list(vocab.tokens), "bos": 0, "eos": 1, "unk": 2,
+                          "freq_rank": None},
+                "default": default,
+                "entries": [{"src": [3] * (i + 1), "tgt": [], "dist": row}
+                            for i, row in enumerate(rows)]}
+
+
+def _write(path, doc):
+    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+    return path
+
+
+def _row_bytes(dist):
+    return dist.probs.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.sampled_from(GOOD_ROWS), min_size=2, max_size=12),
+       bad=st.sampled_from(sorted(BAD_ROWS)), data=st.data())
+def test_table_file_with_one_bad_row_is_rejected_wherever_it_sits(tmp_path_factory, rows, bad,
+                                                                 data):
+    where = data.draw(st.integers(-1, len(rows) - 1))  # -1 is the default
+    default = list(GOOD_ROWS[2])
+    if where < 0:
+        default = BAD_ROWS[bad]
+    else:
+        rows[where] = BAD_ROWS[bad]
+    path = _write(tmp_path_factory.mktemp("bad") / "t.json", _table_doc(rows, default))
+    with pytest.raises(ValueError):
+        load_model(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.sampled_from(GOOD_ROWS), min_size=0, max_size=12),
+       default=st.sampled_from(GOOD_ROWS))
+def test_good_table_file_shares_equal_rows_and_round_trips(tmp_path_factory, rows, default):
+    d = tmp_path_factory.mktemp("good")
+    path = _write(d / "t.json", _table_doc(rows, default))
+    model = load_model(path)
+    dists = list(model.entries.values()) + [model.default]
+    # exactly one object per distinct row; 0.0 and -0.0 rows are not equal
+    assert len({id(x) for x in dists}) == len({_row_bytes(x) for x in dists})
+    assert len({_row_bytes(x) for x in dists}) == \
+        len({np.array(row).tobytes() for row in rows + [default]})
+    save_model(model, d / "again.json")
+    assert (d / "again.json").read_bytes() == path.read_bytes()
+
+
+def test_signed_zero_rows_stay_apart(tmp_path):
+    plus, minus = GOOD_ROWS[4], GOOD_ROWS[3]
+    path = _write(tmp_path / "t.json", _table_doc([plus, minus], plus))
+    model = load_model(path)
+    a, b = model.entries[((3,), ())], model.entries[((3, 3), ())]
+    assert a is model.default and b is not a
+    assert np.signbit(b.probs[-1]) and not np.signbit(a.probs[-1])
+    save_model(model, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def test_duplicate_table_key_is_rejected(tmp_path):
+    _, _, table = generate_corpus(SyntheticSpec("copy", 8, (4, 6), 5, seed=0))
+    path = tmp_path / "t.json"
+    save_model(table, path)
+    doc = json.loads(path.read_text())
+    doc["entries"].append({"src": [3], "tgt": [], "dist": list(np.eye(8)[3])})
+    _write(path, doc)
+    with pytest.raises(ModelFileError, match=re.escape("((3,), ())")):
+        load_model(path)
+
+
+def test_generate_and_load_build_one_distribution_per_distinct_row(tmp_path, monkeypatch):
+    built = []
+    init = Distribution.__init__
+
+    def counted(self, probs):
+        built.append(1)
+        init(self, probs)
+
+    monkeypatch.setattr(Distribution, "__init__", counted)
+    _, _, table = generate_corpus(SyntheticSpec("tail_first", 10, (5, 9), 40, seed=1))
+    rows = {_row_bytes(x) for x in list(table.entries.values()) + [table.default]}
+    assert len(table.entries) > 10 * len(rows)
+    assert len(built) <= len(rows) + 1
+    save_model(table, tmp_path / "t.json")
+    built.clear()
+    load_model(tmp_path / "t.json")
+    assert len(built) <= len(rows) + 1
