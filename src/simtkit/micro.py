@@ -16,19 +16,31 @@ Cross-attention limits restrict how much of the encoded source each decoder
 position may see; they are the engine for both streaming inference and
 prefix-to-prefix training.
 
-Every forward, training included, runs three stages: (1) ``_encode`` turns
-the source into the cross-attention keys and values, (2) ``_decode_prefix``
-runs the causal self-attention over BOS + target prefix, and (3) the rest of
-``_forward`` applies cross-attention under the limits, the feed-forward
-block and the output projection. Stage 1 reads only the source and stage 2
-only the target prefix. Inside ``_sentence_cache``, which the policy code
-opens around each sentence, ``next_dist`` runs each stage once per distinct
-source or target prefix; the two probes of a PsFuture decision then share
-stage 2, and the rows of a divergence matrix share stage 1. No parameter
-changes inside one sentence, so a shared stage equals a fresh one bit for
-bit. The cache spans a sentence, not a sweep: it then holds one sentence's
-stages, while a sweep-wide cache grows the peak resident set with the
-corpus.
+Every forward runs three stages: (1) ``_encode`` turns the source into the
+cross-attention keys and values, (2) ``_decode_prefix`` runs the causal
+self-attention over BOS + target prefix, and (3) ``_head`` applies
+cross-attention under the limits, the feed-forward block and the output
+projection. Stage 1 reads only the source and stage 2 only the target
+prefix.
+
+Inference runs the stages on one query. Inside ``_sentence_cache``, which
+the policy code opens around each sentence, ``next_dist`` runs each stage
+once per distinct source or target prefix; the two probes of a PsFuture
+decision then share stage 2, and the rows of a divergence matrix share
+stage 1. No parameter changes inside one sentence, so a shared stage equals
+a fresh one bit for bit. The cache spans a sentence, not a sweep: it then
+holds one sentence's stages, while a sweep-wide cache grows the peak
+resident set with the corpus.
+
+Training runs the same stages once per batch, on (B, len, d) arrays padded
+to the batch's longest source and target, followed by one backward pass.
+Masks keep every real row off the padding: a source key mask (position
+j < the row's source length), the causal masks, and per-row cross-attention
+limits (a padded row's limit is 1). Padded logit rows get a zero gradient.
+``sentence_nlls`` is the one-item batch, so scoring and training share one
+teacher-forced path. The batch sums in another order than one pair at a
+time would, so losses and gradients agree with the per-pair arithmetic to
+rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -96,31 +108,54 @@ class MicroModel:
 
     # -- forward: three stages (see the module docstring) -----------------
 
-    def _encode(self, src: tuple[int, ...]):
+    def _encode(self, src, lengths=None):
         """Stage 1: the cross-attention keys and values of the encoded
-        ``src``, then the encoder output and its backward cache."""
-        s = len(src)
-        causal = self._tri[:s, :s] if self.mode == UNIDIRECTIONAL else None
-        henc, enc_cache = self._embed_and_attend(src, "enc", causal)
+        source, then the encoder output and its backward cache. ``src`` is
+        one source, or a padded (B, S) batch whose rows hold ``lengths``
+        tokens; no position then attends to a padded one."""
+        ids = np.asarray(src)
+        s = ids.shape[-1]
+        allowed = self._tri[:s, :s] if self.mode == UNIDIRECTIONAL else None
+        if lengths is not None and (lengths < s).any():
+            keys = (np.arange(s) < lengths[:, None])[:, None, :]
+            allowed = keys if allowed is None else keys & allowed
+        henc, enc_cache = self._embed_and_attend(ids, "enc", allowed)
         if not np.isfinite(henc).all():
             raise NumericError("non-finite values in encoder output")
         p = self.params
         return (henc @ p["dec_cross_k"], henc @ p["dec_cross_v"]), (henc, enc_cache)
 
-    def _decode_prefix(self, tgt_in: tuple[int, ...]):
+    def _decode_prefix(self, tgt_in):
         """Stage 2: the causal self-attention output of the decoder input
-        ``tgt_in`` (BOS + target prefix), then its backward cache."""
-        rows = len(tgt_in)
-        return self._embed_and_attend(tgt_in, "dec_self", self._tri[:rows, :rows])
+        ``tgt_in`` (BOS + target prefix, or a padded batch of them), then its
+        backward cache. Causality alone keeps a row off the padding after
+        it."""
+        ids = np.asarray(tgt_in)
+        rows = ids.shape[-1]
+        return self._embed_and_attend(ids, "dec_self", self._tri[:rows, :rows])
 
-    def _embed_and_attend(self, ids: tuple[int, ...], block: str, allowed):
-        """Self-attention ``block`` over the embedded ``ids``, with the
-        backward cache of _attn_backward."""
+    def _embed_and_attend(self, ids: np.ndarray, block: str, allowed):
+        """Self-attention ``block`` over the embedded ``ids`` (..., L), with
+        the backward cache of _attn_backward."""
         p = self.params
-        x0 = p["embed"][list(ids)] + p["pos"][:len(ids)]
+        x0 = p["embed"][ids] + p["pos"][:ids.shape[-1]]
         k, v = x0 @ p[f"{block}_k"], x0 @ p[f"{block}_v"]
         out, parts = _attn_forward(x0, k, v, p, block, allowed)
         return out, (x0, x0, k, v, *parts)
+
+    def _head(self, y1, cross_kv, cross_allowed):
+        """Stage 3: cross-attention under the limits, the feed-forward block
+        and the output projection; the logits, then the backward cache."""
+        p = self.params
+        y2, cross_parts = _attn_forward(y1, *cross_kv, p, "dec_cross", cross_allowed)
+        relu = y2 @ p["ff_w1"]
+        np.maximum(relu, 0.0, out=relu)  # the backward reads its mask as relu > 0
+        y3 = relu @ p["ff_w2"]
+        y3 += y2
+        logits = y3 @ p["out_proj"]
+        if not np.isfinite(logits).all():
+            raise NumericError("non-finite values in logits")
+        return logits, (cross_parts, y2, relu, y3)
 
     @contextmanager
     def _sentence_cache(self):
@@ -151,88 +186,120 @@ class MicroModel:
             out = store[key] = run(key)[0]
         return out
 
-    def _forward(self, source, target, limits="full", backward=False):
-        """Logits at every row of the decoder input BOS + ``target``, and,
-        with ``backward``, the cache for the backward pass (else None).
+    def _check_query(self, src: tuple[int, ...], rows: int, limits):
+        """Check a query of source ``src`` and ``rows`` decoder rows, and
+        return its cross-attention limits: None for ``"full"``, else one
+        integer per row.
 
-        This is the one place that checks a query. ``limits`` caps how many
-        leading source positions each decoder row may attend to: ``"full"``
-        (the whole source), one integer for every row, or one integer per
-        row, each in [1, len(source)].
+        This is the one place that checks a query, for inference and
+        training alike. ``limits`` caps how many leading source positions
+        each decoder row may attend to: ``"full"`` (the whole source), one
+        integer for every row, or one integer per row, each in
+        [1, len(source)].
         """
-        src = tuple(source)
-        tgt_in = (self.vocab.bos,) + tuple(target)
-        n, rows = len(src), len(tgt_in)
+        n = len(src)
         if n == 0:
             raise ConfigError("source must be non-empty")
         for what, length in (("source", n), ("target", rows)):
             if length > self.max_len:
                 raise CapacityError(f"{what} length {length} exceeds max_len {self.max_len}")
         if isinstance(limits, str) and limits == "full":
-            cross_allowed = None  # masking with an all-true mask changes nothing
-        else:
-            lim = np.asarray(limits)
-            if lim.dtype.kind not in "iu" or lim.shape not in ((), (rows,)):
-                raise ConfigError(
-                    f"cross-attention limit must be 'full', one integer or one integer "
-                    f"per decoder row ({rows}), got {limits!r}")
-            if lim.min() < 1 or lim.max() > n:
-                raise ConfigError(f"cross-attention limit {limits!r} outside [1, {n}]")
-            cross_limits = np.broadcast_to(lim.astype(np.intp), (rows,))
-            cross_allowed = np.arange(n)[None, :] < cross_limits[:, None]
+            return None
+        lim = np.asarray(limits)
+        if lim.dtype.kind not in "iu" or lim.shape not in ((), (rows,)):
+            raise ConfigError(
+                f"cross-attention limit must be 'full', one integer or one integer "
+                f"per decoder row ({rows}), got {limits!r}")
+        if lim.min() < 1 or lim.max() > n:
+            raise ConfigError(f"cross-attention limit {limits!r} outside [1, {n}]")
+        return np.broadcast_to(lim.astype(np.intp), (rows,))
 
-        if backward:
-            (cross_kv, (henc, enc_cache)), (y1, self_cache) = \
-                self._encode(src), self._decode_prefix(tgt_in)
-        else:
-            cross_kv = self._stage(0, src, self._encode)
-            y1 = self._stage(1, tgt_in, self._decode_prefix)
+    def _forward(self, source, target, limits="full"):
+        """Logits at every row of the decoder input BOS + ``target``: one
+        query, whose stages 1 and 2 the open sentence cache may hold."""
+        src = tuple(source)
+        tgt_in = (self.vocab.bos,) + tuple(target)
+        lim = self._check_query(src, len(tgt_in), limits)
+        # a "full" limit applies no mask: an all-true one changes nothing
+        cross_allowed = None if lim is None else np.arange(len(src))[None, :] < lim[:, None]
+        cross_kv = self._stage(0, src, self._encode)
+        y1 = self._stage(1, tgt_in, self._decode_prefix)
+        return self._head(y1, cross_kv, cross_allowed)[0]
+
+    def _pad(self, batch):
+        """The (source, target, limits) items of ``batch`` as padded arrays:
+        source ids (B, S), decoder inputs BOS + target[:-1] (B, R), targets
+        (B, R), source lengths (B,), target lengths (B,) and cross-attention
+        limits (B, R). Padding holds id 0; a padded row's limit is 1, and a
+        ``"full"`` row's is its source length."""
+        items = []
+        for source, target, limits in batch:
+            src, tgt = tuple(source), tuple(target)
+            if not tgt:
+                raise ConfigError("target must be non-empty")
+            items.append((src, tgt, self._check_query(src, len(tgt), limits)))
+        n = np.array([len(src) for src, _, _ in items])
+        t = np.array([len(tgt) for _, tgt, _ in items])
+        src_ids = np.zeros((len(items), n.max()), dtype=np.intp)
+        shifted = np.zeros((len(items), t.max() + 1), dtype=np.intp)  # BOS + target
+        limit = np.ones((len(items), t.max()), dtype=np.intp)
+        for b, (src, tgt, lim) in enumerate(items):
+            src_ids[b, :len(src)] = src
+            shifted[b, 1:len(tgt) + 1] = tgt
+            limit[b, :len(tgt)] = len(src) if lim is None else lim
+        shifted[:, 0] = self.vocab.bos
+        return src_ids, shifted[:, :-1], shifted[:, 1:], n, t, limit
+
+    def _batch_forward(self, batch):
+        """One padded forward over the (source, target, limits) items of
+        ``batch``: the logits (B, R, V), the targets (B, R), the target
+        lengths (B,) and the backward cache.
+
+        No real row reads a padded position: padded sources sit beyond every
+        real row's limit, and causality keeps a decoder row off the padding
+        after it. The finiteness checks cover the padding too, since a
+        non-finite padded value would reach the real rows' gradients.
+        """
+        src_ids, tgt_in, targets, n, t, limit = self._pad(batch)
+        cross_kv, (henc, enc_cache) = self._encode(src_ids, n)
+        y1, self_cache = self._decode_prefix(tgt_in)
+        s = src_ids.shape[1]
+        cross_allowed = None if (limit == s).all() else np.arange(s) < limit[..., None]
+        logits, (cross_parts, *head) = self._head(y1, cross_kv, cross_allowed)
+        return logits, targets, t, [src_ids, tgt_in, enc_cache, self_cache,
+                                    (y1, henc, *cross_kv, *cross_parts), *head]
+
+    def _batch_backward(self, cache: list, dlogits: np.ndarray) -> dict[str, np.ndarray]:
+        """Gradients of every parameter given the cache of _batch_forward
+        and the logits' gradient (zero on padded rows). The cache is used up
+        from its end, so each activation is freed once its gradients are
+        taken, and the feed-forward gradient reuses the ReLU buffer."""
         p = self.params
-        y2, cross_parts = _attn_forward(y1, *cross_kv, p, "dec_cross", cross_allowed)
-        h1 = y2 @ p["ff_w1"]
-        relu = np.maximum(h1, 0.0)
-        y3 = relu @ p["ff_w2"] + y2
-        logits = y3 @ p["out_proj"]
-        if not np.isfinite(logits).all():
-            raise NumericError("non-finite values in logits")
-        if not backward:
-            return logits, None
-        cache = {
-            "src": list(src), "tgt_in": list(tgt_in), "enc": enc_cache, "self": self_cache,
-            "cross": (y1, henc, *cross_kv, *cross_parts),
-            "y2": y2, "h1": h1, "relu": relu, "y3": y3,
-        }
-        return logits, cache
+        grads = {"out_proj": _flat(cache.pop()).T @ _flat(dlogits)}
+        relu = cache.pop()
+        dy = dlogits @ p["out_proj"].T
+        grads["ff_w2"] = _flat(relu).T @ _flat(dy)
+        active = relu > 0.0
+        dh = np.matmul(dy, p["ff_w2"].T, out=relu)
+        dh *= active
+        grads["ff_w1"] = _flat(cache.pop()).T @ _flat(dh)
+        dy += dh @ p["ff_w1"].T
+        del relu, active, dh
 
-    def _backward(self, cache, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-        p = self.params
-        grads = {name: np.zeros_like(val) for name, val in p.items()}
+        dy, dhenc = _attn_backward(cache.pop(), dy, p, "dec_cross", grads)
+        dy0, dy0_kv = _attn_backward(cache.pop(), dy, p, "dec_self", grads)
+        dy0 += dy0_kv
+        dx0, dx0_kv = _attn_backward(cache.pop(), dhenc, p, "enc", grads)
+        dx0 += dx0_kv
 
-        y3 = cache["y3"]
-        grads["out_proj"] += y3.T @ dlogits
-        dy3 = dlogits @ p["out_proj"].T
-
-        dy2 = dy3.copy()
-        grads["ff_w2"] += cache["relu"].T @ dy3
-        drelu = dy3 @ p["ff_w2"].T
-        dh1 = drelu * (cache["h1"] > 0.0)
-        grads["ff_w1"] += cache["y2"].T @ dh1
-        dy2 += dh1 @ p["ff_w1"].T
-
-        dy1, dhenc = _attn_backward(cache["cross"], dy2, p, "dec_cross", grads)
-        dy0_q, dy0_kv = _attn_backward(cache["self"], dy1, p, "dec_self", grads)
-        dy0 = dy0_q + dy0_kv
-
-        tgt_in = cache["tgt_in"]
-        np.add.at(grads["embed"], tgt_in, dy0)
-        grads["pos"][:len(tgt_in)] += dy0
-
-        dx0_q, dx0_kv = _attn_backward(cache["enc"], dhenc, p, "enc", grads)
-        dx0 = dx0_q + dx0_kv
-        src = cache["src"]
-        np.add.at(grads["embed"], src, dx0)
-        grads["pos"][:len(src)] += dx0
-        return grads
+        src_ids, tgt_in = cache
+        grads["embed"] = embed = np.zeros_like(p["embed"])
+        np.add.at(embed, tgt_in.ravel(), _flat(dy0))
+        np.add.at(embed, src_ids.ravel(), _flat(dx0))
+        grads["pos"] = pos = np.zeros_like(p["pos"])
+        pos[:tgt_in.shape[1]] += dy0.sum(axis=0)
+        pos[:src_ids.shape[1]] += dx0.sum(axis=0)
+        return {name: grads[name] for name in p}
 
     # -- public surface ---------------------------------------------------
 
@@ -243,57 +310,32 @@ class MicroModel:
         position's prediction is returned. ``cross_limit`` caps how many
         source positions the decoder sees (``"full"`` = the whole prefix).
         """
-        logits, _ = self._forward(source_prefix, target_prefix, cross_limit)
-        return Distribution(_softmax_row(logits[-1]))
+        logits = self._forward(source_prefix, target_prefix, cross_limit)
+        return Distribution(_softmax_rows(logits[-1]))
 
     def loss_and_grads(self, batch) -> tuple[float, dict[str, np.ndarray]]:
-        """Mean token NLL over a batch plus exact gradients.
+        """Mean token NLL over a batch plus exact gradients, from one padded
+        forward and one backward.
 
         Batch items are (source, target, limits) with limits either "full",
         one cross-attention cap, or a per-target-position list of caps.
         """
         if not batch:
             raise ConfigError("batch must be non-empty")
-        total_nll = 0.0
-        total_tokens = 0
-        acc: dict[str, np.ndarray] | None = None
-        for item in batch:
-            nll, grads, n_tok = self._pair_nll_and_grads(*item)
-            total_nll += nll
-            total_tokens += n_tok
-            if acc is None:
-                acc = grads
-            else:
-                for name in acc:
-                    acc[name] += grads[name]
-        assert acc is not None
-        scale = 1.0 / total_tokens
-        for name in acc:
-            acc[name] *= scale
-        return total_nll * scale, acc
-
-    def _pair_nll_and_grads(self, source, target, limits="full"):
-        """Summed NLL of ``target`` given ``source`` and its exact gradients."""
-        nlls, logits, cache = self._teacher_forced(source, target, limits, backward=True)
-        tgt = list(target)
+        logits, targets, t, cache = self._batch_forward(batch)
+        scale = 1.0 / t.sum()
+        real = np.arange(targets.shape[1]) < t[:, None]  # the rows that hold a target
+        loss = float(_log_softmax_nll(logits, targets)[real].sum()) * scale
         dlogits = _softmax_rows(logits)
-        dlogits[np.arange(len(tgt)), tgt] -= 1.0
-        grads = self._backward(cache, dlogits)
-        return float(nlls.sum()), grads, len(tgt)
+        dlogits[(*np.indices(targets.shape), targets)] -= 1.0
+        dlogits *= (real * scale)[..., None]  # padded rows get no gradient
+        return loss, self._batch_backward(cache, dlogits)
 
     def sentence_nlls(self, source, target, limits="full") -> np.ndarray:
-        """Per-position -log p(y_t | ...), forward only."""
-        return self._teacher_forced(source, target, limits)[0]
-
-    def _teacher_forced(self, source, target, limits, backward=False):
-        """Per-position NLLs of ``target`` given ``source``, with the logits
-        and (with ``backward``) the cache of the forward pass; ``limits`` has
-        one entry per target position when it is a list."""
-        tgt = list(target)
-        if not tgt:
-            raise ConfigError("target must be non-empty")
-        logits, cache = self._forward(source, tgt[:-1], limits, backward)
-        return _log_softmax_nll(logits, tgt), logits, cache
+        """Per-position -log p(y_t | ...), forward only: the one-item batch
+        of loss_and_grads, so scoring and training share one path."""
+        logits, targets, _, _ = self._batch_forward([(source, target, limits)])
+        return _log_softmax_nll(logits, targets)[0]
 
     def clone_params(self) -> dict[str, np.ndarray]:
         return {name: val.copy() for name, val in self.params.items()}
@@ -317,34 +359,39 @@ def sgd_step(model: MicroModel, grads: dict[str, np.ndarray], lr: float) -> None
 # Attention plumbing
 # ---------------------------------------------------------------------------
 
-def _softmax_row(row: np.ndarray) -> np.ndarray:
-    e = np.exp(row - row.max())
-    return e / e.sum()
+def _flat(x: np.ndarray) -> np.ndarray:
+    """``x`` as a matrix of its last axis, so that one product sums over
+    every leading (batch and row) axis."""
+    return x.reshape(-1, x.shape[-1])
 
 
-def _softmax_rows(mat: np.ndarray) -> np.ndarray:
-    e = np.exp(mat - mat.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def _log_softmax_nll(logits: np.ndarray, targets: list[int]) -> np.ndarray:
-    """Per-row -log softmax(logits)[target]; stable even for extreme logits."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    return lse - shifted[np.arange(len(targets)), targets]
+def _log_softmax_nll(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """-log softmax(logits)[target] over the last axis, for every leading
+    index of ``targets``; stable even for extreme logits."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1))
+    return lse - np.take_along_axis(shifted, targets[..., None], axis=-1)[..., 0]
 
 
 def _attn_forward(q_in, k, v, params, block, allowed):
     """Single-head attention with residual: out = softmax(QK'/sqrt(d)) V Wo + q_in
     with Q = q_in Wq; returns out and (Q, attention weights, context).
 
-    ``k`` and ``v`` are the projected keys and values. ``allowed`` is a
-    boolean (queries x keys) visibility mask, or None when every key is
-    visible; disallowed scores become -inf before the softmax, so their
-    weights are exactly zero and masked positions cannot leak into the output.
+    Inputs are (..., rows, d) with any leading batch axes. ``k`` and ``v``
+    are the projected keys and values. ``allowed`` is a boolean (queries x
+    keys) visibility mask that broadcasts against the scores, or None when
+    every key is visible; disallowed scores become -inf before the softmax,
+    so their weights are exactly zero and masked positions cannot leak into
+    the output.
     """
     q = q_in @ params[f"{block}_q"]
-    scores = (q @ k.T) / np.sqrt(q_in.shape[1])
+    scores = (q @ k.swapaxes(-1, -2)) / np.sqrt(q_in.shape[-1])
     if allowed is not None:
         scores = np.where(allowed, scores, -np.inf)
     attn = _softmax_rows(scores)
@@ -354,23 +401,27 @@ def _attn_forward(q_in, k, v, params, block, allowed):
 
 def _attn_backward(cache, dout, params, block, grads):
     """Gradients of _attn_forward given its (q_in, kv_in, k, v, Q, attention
-    weights, context); returns (d q_in, d kv_in)."""
+    weights, context); stores the block's weight gradients, summed over the
+    leading axes, in ``grads`` and returns (d q_in, d kv_in)."""
     q_in, kv_in, k, v, q, attn, ctx = cache
-    d = q_in.shape[1]
+    scale = np.sqrt(q_in.shape[-1])
     wq, wk, wv, wo = (params[f"{block}_{p}"] for p in ("q", "k", "v", "o"))
 
-    grads[f"{block}_o"] += ctx.T @ dout
+    grads[f"{block}_o"] = _flat(ctx).T @ _flat(dout)
     dctx = dout @ wo.T
-    dattn = dctx @ v.T
-    dv = attn.T @ dctx
-    # softmax backward; masked cells have attn == 0 so their grads vanish
-    dscores = attn * (dattn - (dattn * attn).sum(axis=1, keepdims=True))
-    dq = (dscores @ k) / np.sqrt(d)
-    dk = (dscores.T @ q) / np.sqrt(d)
+    dv = attn.swapaxes(-1, -2) @ dctx
+    # softmax backward in place; masked cells have attn == 0 so their grads vanish
+    dscores = dctx @ v.swapaxes(-1, -2)
+    dscores -= (dscores * attn).sum(axis=-1, keepdims=True)
+    dscores *= attn
+    dq = (dscores @ k) / scale
+    dk = (dscores.swapaxes(-1, -2) @ q) / scale
 
-    grads[f"{block}_q"] += q_in.T @ dq
-    grads[f"{block}_k"] += kv_in.T @ dk
-    grads[f"{block}_v"] += kv_in.T @ dv
-    dq_in = dout + dq @ wq.T
-    dkv_in = dk @ wk.T + dv @ wv.T
+    grads[f"{block}_q"] = _flat(q_in).T @ _flat(dq)
+    grads[f"{block}_k"] = _flat(kv_in).T @ _flat(dk)
+    grads[f"{block}_v"] = _flat(kv_in).T @ _flat(dv)
+    dq_in = dq @ wq.T
+    dq_in += dout
+    dkv_in = dk @ wk.T
+    dkv_in += dv @ wv.T
     return dq_in, dkv_in

@@ -124,7 +124,12 @@ def load_model(path):
             if name not in tensors or tuple(_field(tensors[name], "shape", _LIST, _INT)) != shape:
                 raise ModelFileError(f"tensor {name!r} missing or has wrong shape")
             data = _field(tensors[name], "data", _LIST, _NUMBER)
-            params[name] = np.array(data, dtype=np.float64).reshape(shape)
+            try:
+                params[name] = np.array(data, dtype=np.float64).reshape(shape)
+            except OverflowError as exc:  # an integer beyond float64
+                raise ModelFileError(f"tensor {name!r}: {exc}") from exc
+            if not np.isfinite(params[name]).all():  # json reads NaN and Infinity
+                raise ModelFileError(f"tensor {name!r} holds non-finite values")
         return MicroModel(vocab, d=d, max_len=max_len, mode=_field(meta, "mode", _STR),
                           params=params)
     if doc["kind"] == "table":
@@ -134,13 +139,27 @@ def load_model(path):
         keys = zip(map(tuple, _fields(entries, "src", _LIST, _INT)),
                    map(tuple, _fields(entries, "tgt", _LIST, _INT)))
         # one Distribution per distinct row, keyed on the row's exact float64
-        # bytes so that a 0.0 row and a -0.0 row stay apart
-        dist = cache(lambda data: Distribution(np.frombuffer(data)))
+        # bytes so that a 0.0 row and a -0.0 row stay apart; a bad row raises
+        # and is not stored, so each entry that holds it raises
+        @cache
+        def shared(data):
+            probs = np.frombuffer(data)
+            if len(probs) != len(vocab):
+                raise ValueError(f"distribution length {len(probs)} != vocab size {len(vocab)}")
+            return Distribution(probs)
+
+        def dist(row, key=None):
+            """The Distribution of ``row``, the entry ``key``'s or (None) the default's."""
+            try:
+                return shared(array("d", row).tobytes())  # OverflowError: an int beyond float64
+            except (OverflowError, ValueError) as exc:
+                where = "table default" if key is None else f"table entry (src, tgt) = {key}"
+                raise ModelFileError(f"{where}: {exc}") from exc
+
         table = {}
         for key, row in zip(keys, _fields(entries, "dist", _LIST, _NUMBER)):
             if key in table:
                 raise ModelFileError(f"table entry (src, tgt) = {key} appears twice")
-            table[key] = dist(array("d", row).tobytes())
-        default = array("d", _field(doc, "default", _LIST, _NUMBER))
-        return TableModel(vocab, table, dist(default.tobytes()))
+            table[key] = dist(row, key)
+        return TableModel(vocab, table, dist(_field(doc, "default", _LIST, _NUMBER)))
     raise ModelFileError(f"unknown model kind {doc['kind']!r}")

@@ -168,9 +168,11 @@ def generate_corpus(spec: SyntheticSpec) -> tuple[Vocabulary, list[SentencePair]
         n = len(pair.source)
         contexts = [pair.source[:j] for j in range(1, n + 1)]
         contexts += [pair.source[:j] + (eos,) for j in range(1, n - 1)]
+        # one tuple per target prefix, shared by the keys of every context
+        prefixes = [pair.target[:t - 1] for t in range(1, len(pair.target) + 1)]
         for ctx in contexts:
-            for t in range(1, len(pair.target) + 1):
-                key = (ctx, pair.target[:t - 1])
+            for t, prefix in enumerate(prefixes, start=1):
+                key = (ctx, prefix)
                 if key not in entries:
                     entries[key] = dist(frozenset(possible_next_tokens(
                         spec.kind, spec.window, bounds, content_ids, eos, ctx, t)))

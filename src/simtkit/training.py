@@ -164,8 +164,8 @@ def _batch_step(model, batch, cfg, rng, alphas, ls, k_hist):
         k_hist[k] = k_hist.get(k, 0) + 1
         return multipath_batch_loss(model, batch, k)
 
-    # offline and p2f share the per-example accumulation so that ratio_r = 0
-    # reproduces offline training bit for bit
+    # offline and p2f build the same batch items, which loss_and_grads runs as
+    # one padded batch; so ratio_r = 0 reproduces offline training bit for bit
     items = []
     for pair in batch:
         if cfg.regime == "p2f":

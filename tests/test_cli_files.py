@@ -2,9 +2,10 @@
 
 Every bad input exits 1 or 2 with one line on stderr and no traceback, and
 writes no output file. Model files are a table and a micro checkpoint cut
-short, missing a key, holding a value of the wrong JSON type, or holding a
-NaN or null probability; corpora have line counts that differ or an empty
-line. Out-of-vocabulary tokens are not an error: they map to UNK.
+short, missing a key, holding a value of the wrong JSON type, holding a
+NaN or null probability, or holding a number no model may hold (a NaN or
+infinite weight, an integer beyond float64); corpora have line counts that
+differ or an empty line. Out-of-vocabulary tokens are not an error: they map to UNK.
 """
 
 import contextlib
@@ -190,6 +191,42 @@ def test_wrong_json_type_is_rejected_where_python_would_coerce_it(files, case):
         code, stdout, stderr, written = _check(*_commands(paths, model)["simulate"], out)
     _assert_rejected(code, stdout, stderr, written)
     assert stderr.startswith("simtkit: ModelFileError: "), stderr
+
+
+# values json reads that no model may hold, each with the place the error names
+OUT_OF_RANGE = {
+    "tensor NaN": ("micro", ("tensors", "ff_w1", "data", 0), float("nan"),
+                   "tensor 'ff_w1' holds non-finite values"),
+    "tensor Infinity": ("micro", ("tensors", "embed", "data", 3), float("inf"),
+                        "tensor 'embed' holds non-finite values"),
+    "tensor -Infinity": ("micro", ("tensors", "pos", "data", 1), float("-inf"),
+                         "tensor 'pos' holds non-finite values"),
+    "tensor huge integer": ("micro", ("tensors", "out_proj", "data", 2), 10 ** 400,
+                            "tensor 'out_proj': int too large to convert to float"),
+    "probability huge integer": ("table", ("entries", 0, "dist", 0), 10 ** 400,
+                                 "int too large to convert to float"),
+    "default huge integer": ("table", ("default", 0), 10 ** 400,
+                             "table default: int too large to convert to float"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_number_is_rejected_naming_its_place(files, case):
+    paths, docs = files
+    kind, path, value, message = OUT_OF_RANGE[case]
+    doc = json.loads(docs[kind])
+    _parent(doc, path)[path[-1]] = value
+    if path[0] == "entries":
+        entry = doc["entries"][path[1]]
+        message = f"table entry (src, tgt) = {(tuple(entry['src']), tuple(entry['tgt']))}: " \
+            + message
+    with tempfile.TemporaryDirectory() as out:
+        model = os.path.join(out, "model.json")
+        with open(model, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc))  # NaN and Infinity as json writes and reads them
+        code, stdout, stderr, written = _check(*_commands(paths, model)["simulate"], out)
+    _assert_rejected(code, stdout, stderr, written)
+    assert stderr == f"simtkit: ModelFileError: {message}\n"
 
 
 @pytest.mark.parametrize("kind", ["table", "micro"])

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from simtkit import (
     suffix_from_name,
 )
 
+import pair_oracle
 from conftest import make_vocab
+from simtkit.micro import _log_softmax_nll
 
 
 def small_model(mode=BIDIRECTIONAL, seed=3, d=8):
@@ -316,3 +319,103 @@ def test_table_model_round_trip_lookup_traces(tmp_path):
         for tgt in [(), (3,), (3, 4)]:
             assert np.array_equal(model.next_dist(src, tgt).probs,
                                   model2.next_dist(src, tgt).probs)
+
+
+# -- the padded batch path against the per-pair oracle -------------------------
+
+FIXTURES = Path(__file__).resolve().parent.parent / "bench" / "fixtures"
+
+
+def batch_nlls(model, batch):
+    """Per-row NLLs (B, R) of one padded forward over ``batch``."""
+    logits, targets, _, _ = model._batch_forward(batch)
+    return _log_softmax_nll(logits, targets)
+
+
+@pytest.mark.parametrize("mode", [BIDIRECTIONAL, UNIDIRECTIONAL])
+def test_gradient_check_mixed_padded_batch(mode):
+    m = small_model(mode=mode)
+    batch = [((5, 6, 7, 4, 1), (5, 6, 1), "full"),
+             ((7, 4), (7, 4, 3, 5, 6, 1), "full"),  # p2f: l = 2 of a 6-token source
+             ((3, 5, 6, 1), (3, 5, 6, 4, 1), 2),
+             ((4, 4, 5, 6, 7, 1), (4, 5, 6, 1), [1, 3, 6, 6])]
+    assert max_fd_rel_error(m, batch) < 1e-3
+
+
+@st.composite
+def training_batches(draw):
+    """Batches of mixed lengths and limits, with p2f-truncated sources."""
+    items = []
+    for _ in range(draw(st.integers(1, 6))):
+        src = draw(st.lists(st.integers(3, 10), min_size=1, max_size=8))
+        tgt = draw(st.lists(st.integers(3, 10), min_size=1, max_size=8))
+        kind = draw(st.sampled_from(["full", "one", "per row", "p2f"]))
+        if kind == "one":
+            limits = draw(st.integers(1, len(src)))
+        elif kind == "per row":
+            limits = draw(st.lists(st.integers(1, len(src)), min_size=len(tgt),
+                                   max_size=len(tgt)))
+        else:
+            limits = "full"
+            if kind == "p2f":
+                src = src[:draw(st.integers(1, len(src)))]
+        items.append((tuple(src), tuple(tgt), limits))
+    return items
+
+
+@pytest.mark.parametrize("mode", sorted(CACHE_MODELS))
+@settings(max_examples=60, deadline=None)
+@given(batch=training_batches())
+def test_padded_batch_matches_the_per_pair_oracle(mode, batch):
+    model = CACHE_MODELS[mode]
+    loss, grads = model.loss_and_grads(batch)
+    want_loss, want_grads = pair_oracle.loss_and_grads(model, batch)
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    assert list(grads) == list(model.params)
+    for name, want in want_grads.items():
+        assert np.abs(grads[name] - want).max() <= 1e-12 * np.abs(want).max(), name
+    for item, nlls in zip(batch, batch_nlls(model, batch)):
+        alone = model.sentence_nlls(*item)
+        assert np.allclose(nlls[:len(alone)], alone, rtol=1e-12, atol=0)
+
+
+def test_padded_rows_see_nothing_beyond_their_limits_or_their_pair():
+    m = small_model(mode=UNIDIRECTIONAL, d=16)
+    rng = np.random.default_rng(5)
+    for trial in range(40):
+        batch = []
+        for _ in range(4):
+            n, t = int(rng.integers(2, 9)), int(rng.integers(1, 9))
+            src = tuple(int(x) for x in rng.integers(3, 11, size=n))
+            tgt = tuple(int(x) for x in rng.integers(3, 11, size=t))
+            batch.append((src, tgt, [int(x) for x in rng.integers(1, n + 1, size=t)]))
+        base = batch_nlls(m, batch)
+        b = int(rng.integers(0, 4))
+        src, tgt, limits = batch[b]
+        r = int(rng.integers(0, len(tgt)))
+        # other tokens beyond row r's limit, and another neighbour of the same lengths
+        beyond = src[:limits[r]] + tuple(int(x) for x in rng.integers(3, 11, len(src) - limits[r]))
+        other = (b + 1) % 4
+        n_other, t_other = len(batch[other][0]), len(batch[other][1])
+        changed = list(batch)
+        changed[b] = (beyond, tgt, limits)
+        changed[other] = (tuple(int(x) for x in rng.integers(3, 11, n_other)),
+                          tuple(int(x) for x in rng.integers(3, 11, t_other)), "full")
+        got = batch_nlls(m, changed)
+        assert got[b, r].tobytes() == base[b, r].tobytes(), f"trial {trial}"
+
+
+@pytest.mark.parametrize("name", ["multipath_uni.json", "p2f_bi.json"])
+def test_next_dist_keeps_the_single_query_arithmetic_on_the_bench_fixtures(name):
+    model = load_model(FIXTURES / name)
+    rng = np.random.default_rng(2)
+    queries = []
+    for _ in range(150):
+        n = int(rng.integers(1, 13))
+        src = tuple(int(x) for x in rng.integers(1, len(model.vocab), n))
+        tgt = tuple(int(x) for x in rng.integers(1, len(model.vocab), int(rng.integers(0, 12))))
+        queries.append((src, tgt, "full" if rng.random() < 0.5 else int(rng.integers(1, n + 1))))
+    want = [pair_oracle.next_dist(model, *q).tobytes() for q in queries]
+    assert [model.next_dist(*q).probs.tobytes() for q in queries] == want
+    with model._sentence_cache():
+        assert [model.next_dist(*q).probs.tobytes() for q in queries] == want

@@ -146,6 +146,7 @@ BAD_ROWS = {
     "short": [0.25] * (N - 1),
     "long": [1.0 / (N + 1)] * (N + 1),
     "mass": [0.0, 0.5, 0.0, 0.5 + 10 * DIST_TOL, 0.0],
+    "huge": [10 ** 400, 1.0, 0.0, 0.0, 0.0],  # an integer beyond float64
 }
 
 
@@ -181,7 +182,8 @@ def test_table_file_with_one_bad_row_is_rejected_wherever_it_sits(tmp_path_facto
     else:
         rows[where] = BAD_ROWS[bad]
     path = _write(tmp_path_factory.mktemp("bad") / "t.json", _table_doc(rows, default))
-    with pytest.raises(ValueError):
+    entry = "table default" if where < 0 else f"table entry (src, tgt) = {((3,) * (where + 1), ())}"
+    with pytest.raises(ModelFileError, match=re.escape(entry + ": ")):
         load_model(path)
 
 
