@@ -20,7 +20,7 @@ from .modelio import load_model, save_model
 from .policy import RandomSuffix, suffix_from_name, simulate_sentence
 from .sweep import (POLICIES, SweepSpec, divergence_report_lines, run_sweep, sentence_rng,
                     sweep_csv_lines)
-from .synthetic import KINDS, SyntheticSpec, generate_corpus
+from .synthetic import KINDS, SyntheticSpec, _exact_table, _generate_pairs
 from .training import REGIMES, TrainConfig, train
 from . import core
 
@@ -204,11 +204,11 @@ def _cmd_gen_corpus(args) -> int:
         seed=args.seed,
         window=args.window,
     )
-    vocab, pairs, model = generate_corpus(spec)
+    vocab, pairs = _generate_pairs(spec)
     core.write_parallel_corpus(pairs, vocab, args.out_src, args.out_tgt,
                                align_path=args.out_align)
     if args.out_model:
-        save_model(model, args.out_model)
+        save_model(_exact_table(spec, vocab, pairs), args.out_model)
     print(f"wrote {len(pairs)} pairs (vocab {len(vocab)})")
     return 0
 

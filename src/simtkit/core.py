@@ -152,10 +152,12 @@ class Distribution:
 
     Construction rejects negative entries and vectors whose mass is not
     within 1e-9 of one (a NaN entry gives a NaN mass, which fails too). The
-    underlying array is read-only.
+    underlying array is read-only, so the argmax and the squared norm are
+    computed on first use and kept: a table hands out the same object to
+    many decisions.
     """
 
-    __slots__ = ("probs",)
+    __slots__ = ("probs", "_argmax", "_sq_norm")
 
     def __init__(self, probs):
         vec = np.asarray(probs, dtype=np.float64)
@@ -169,13 +171,23 @@ class Distribution:
         vec = vec.copy()
         vec.setflags(write=False)
         self.probs = vec
+        self._argmax: int | None = None
+        self._sq_norm: float | None = None
 
     def __len__(self) -> int:
         return int(self.probs.size)
 
     def argmax(self) -> int:
         """Lowest index among maximal entries (deterministic tie-break)."""
-        return int(np.argmax(self.probs))
+        if self._argmax is None:
+            self._argmax = int(np.argmax(self.probs))
+        return self._argmax
+
+    def _squared_norm(self) -> float:
+        """dot(probs, probs), the term ``policy.cosine_divergence`` reads."""
+        if self._sq_norm is None:
+            self._sq_norm = float(np.dot(self.probs, self.probs))
+        return self._sq_norm
 
 
 def uniform_distribution(n_vocab: int, support: Iterable[int]) -> Distribution:

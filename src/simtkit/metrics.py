@@ -48,8 +48,8 @@ def average_lagging(g_record: Sequence[int], n_source: int) -> float:
     return total / tau
 
 
-def _ngrams(tokens: Sequence[str], n: int):
-    return [tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]
+def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def corpus_bleu(hypotheses: Sequence[Sequence[str]],
@@ -68,10 +68,9 @@ def corpus_bleu(hypotheses: Sequence[Sequence[str]],
         hyp_len += len(h)
         ref_len += len(r)
         for n in range(1, 5):
-            counts = Counter(_ngrams(h, n))
-            ref_counts = Counter(_ngrams(r, n))
-            total[n] += sum(counts.values())
-            matched[n] += sum(min(c, ref_counts[g]) for g, c in counts.items())
+            total[n] += max(len(h) - n + 1, 0)
+            clipped = _ngram_counts(h, n) & _ngram_counts(r, n)
+            matched[n] += sum(clipped.values())
     if hyp_len == 0:
         return 0.0
     if any(total[n] == 0 or matched[n] == 0 for n in range(1, 5)):

@@ -54,10 +54,10 @@ def cosine_divergence(p: Distribution, q: Distribution) -> float:
     Non-negative entries make the raw value lie in [0, 1] up to float
     round-off; the clamp removes the round-off. The denominator is computed
     as sqrt(dot(p,p) * dot(q,q)) so identical vectors give exactly 0 and the
-    result is symmetric bit for bit.
+    result is symmetric bit for bit; each Distribution keeps its dot(p,p).
     """
     num = float(np.dot(p.probs, q.probs))
-    den = math.sqrt(float(np.dot(p.probs, p.probs)) * float(np.dot(q.probs, q.probs)))
+    den = math.sqrt(p._squared_norm() * q._squared_norm())
     return min(max(1.0 - num / den, 0.0), 1.0)
 
 

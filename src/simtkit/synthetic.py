@@ -137,6 +137,12 @@ def possible_next_tokens(
 
 def generate_corpus(spec: SyntheticSpec) -> tuple[Vocabulary, list[SentencePair], TableModel]:
     """Generate aligned pairs plus the exact table model of the language."""
+    vocab, pairs = _generate_pairs(spec)
+    return vocab, pairs, _exact_table(spec, vocab, pairs)
+
+
+def _generate_pairs(spec: SyntheticSpec) -> tuple[Vocabulary, list[SentencePair]]:
+    """The vocabulary and aligned pairs of ``generate_corpus``, with no table."""
     n_content = spec.vocab_size - 3
     tokens = SPECIALS + tuple(f"w{i}" for i in range(n_content))
     content_ids = tuple(range(3, spec.vocab_size))
@@ -158,12 +164,18 @@ def generate_corpus(spec: SyntheticSpec) -> tuple[Vocabulary, list[SentencePair]
     counts = Counter(tok for p in pairs for tok in p.source if tok != eos)
     ranked = sorted(counts, key=lambda i: (-counts[i], i))
     freq_rank = {tokens[i]: r for r, i in enumerate(ranked, start=1)}
-    vocab = Vocabulary(tokens=tokens, bos=0, eos=1, unk=2, freq_rank=freq_rank)
+    return Vocabulary(tokens=tokens, bos=0, eos=1, unk=2, freq_rank=freq_rank), pairs
 
+
+def _exact_table(spec: SyntheticSpec, vocab: Vocabulary,
+                 pairs: list[SentencePair]) -> TableModel:
+    """The exact table model of ``generate_corpus`` over its ``pairs``."""
+    content_ids = tuple(range(3, spec.vocab_size))
+    eos = vocab.eos
+    bounds = (spec.n_range[0] - 1, spec.n_range[1] - 1)  # content lengths
     # one shared uniform Distribution per distinct support (a frozenset)
     dist = cache(partial(uniform_distribution, spec.vocab_size))
     entries = {}
-    bounds = (m_lo, m_hi)
     for pair in pairs:
         n = len(pair.source)
         contexts = [pair.source[:j] for j in range(1, n + 1)]
@@ -177,4 +189,4 @@ def generate_corpus(spec: SyntheticSpec) -> tuple[Vocabulary, list[SentencePair]
                     entries[key] = dist(frozenset(possible_next_tokens(
                         spec.kind, spec.window, bounds, content_ids, eos, ctx, t)))
 
-    return vocab, pairs, TableModel(vocab, entries, dist(frozenset((eos,) + content_ids)))
+    return TableModel(vocab, entries, dist(frozenset((eos,) + content_ids)))

@@ -7,35 +7,46 @@ can be verified against hand derivations.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .core import Distribution, Vocabulary
 
 # Fixed truncation schedule: with the full source context, try the full
 # target context, then target suffixes of length 2, 1, 0; then truncate the
-# source context the same way. First probe that hits wins; otherwise the
-# default distribution applies.
+# source context the same way. ``_probes`` yields the keys in this order and
+# ``TableModel.next_dist`` stops at the first that hits, so most lookups build
+# only a few keys; with no hit the default distribution applies.
 BACKOFF_SCHEDULE = "t2,t1,t0,s*"
 
 Context = tuple[int, ...]
 Key = tuple[Context, Context]
 
 
-def _levels(length: int) -> list[int]:
+@cache
+def _levels(length: int) -> tuple[int, ...]:
     out = []
     for lvl in (length, 2, 1, 0):
         if lvl <= length and lvl not in out:
             out.append(lvl)
-    return out
+    return tuple(out)
+
+
+def _probes(source_ctx: Sequence[int], target_ctx: Sequence[int]) -> Iterator[Key]:
+    """The candidate keys of a query, most specific first, no two equal."""
+    src = tuple(source_ctx)
+    tgt = tuple(target_ctx)
+    tgt_suffixes = [tgt[len(tgt) - tl:] for tl in _levels(len(tgt))]
+    for sl in _levels(len(src)):
+        src_suffix = src[len(src) - sl:]
+        for tgt_suffix in tgt_suffixes:
+            yield src_suffix, tgt_suffix
 
 
 def backoff_probes(source_ctx: Sequence[int], target_ctx: Sequence[int]) -> list[Key]:
     """All candidate keys for a query, most specific first, no two equal."""
-    src = tuple(source_ctx)
-    tgt = tuple(target_ctx)
-    tgt_suffixes = [tgt[len(tgt) - tl:] for tl in _levels(len(tgt))]
-    return [(src[len(src) - sl:], t) for sl in _levels(len(src)) for t in tgt_suffixes]
+    return list(_probes(source_ctx, target_ctx))
 
 
 class TableModel:
@@ -63,7 +74,7 @@ class TableModel:
         The stored Distribution is returned itself, not a copy: its array is
         read-only, so callers cannot change the table through it.
         """
-        for key in backoff_probes(source_prefix, target_prefix):
+        for key in _probes(source_prefix, target_prefix):
             hit = self.entries.get(key)
             if hit is not None:
                 return hit

@@ -104,6 +104,18 @@ def test_distribution_normalized_vectors_accepted(raw):
     assert not dist.probs.flags.writeable
 
 
+@given(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=1, max_size=12)
+       .filter(lambda raw: sum(raw) > 0))
+def test_distribution_argmax_is_numpys_first_maximum_on_every_call(raw):
+    # few distinct weights, so ties among maximal entries are common
+    vec = np.asarray(raw) / sum(raw)
+    dist = Distribution(vec)
+    first = dist.argmax()
+    assert type(first) is int
+    assert first == int(np.argmax(vec)) == raw.index(max(raw))  # lowest index wins
+    assert dist.argmax() == dist.argmax() == first
+
+
 # -- sentence pairs ---------------------------------------------------------
 
 def test_validate_pair_happy_and_errors():

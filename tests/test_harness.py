@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -457,6 +458,38 @@ def test_cli_simulate_replays_the_sweeps_sentence(monkeypatch, tmp_path, capsys,
             assert trace == want_trace, (lam, i)
             assert summary["hypothesis"] == " ".join(decode_sentence(hypothesis, vocab))
             assert summary["g_record"] == list(g_record)
+
+
+# sha256 of a small tail-first table sweep and of one simulate trace: a change
+# to the table lookup, Distribution, the decision loop or the metrics that moves
+# any output byte shows here. Most of these queries leave the table's contexts,
+# so they run the backoff walk, the RMAX cap, the EOS guard and, at r_max=1,
+# the EOS swap.
+TABLE_SWEEP_CSV_SHA256 = "1c08fcb0e4739347eb7885d3fff12a680936785a4422e1ad1fb1785e9261c18e"
+TABLE_TRACE_SHA256 = "0025c3afd47fb923672a69f30181e5262d909c2c79f47b43e5caf33d867ba3bc"
+
+
+def test_table_sweep_and_trace_bytes_are_pinned(tmp_path, capsys):
+    vocab, pairs, table = generate_corpus(SyntheticSpec("tail_first", 10, (5, 9), 12, seed=3))
+    specs = [SweepSpec("psfuture", lambdas=(0.05, 0.2, 0.5), suffixes=("eos", "oracle", "random"),
+                       r_max=4, max_target_len=16, seed=2, random_top_k=7),
+             SweepSpec("psfuture", lambdas=(0.2,), suffixes=("oracle",), r_max=1,
+                       max_target_len=16, seed=2),
+             SweepSpec("waitk", ks=(1, 3), max_target_len=16)]
+    lines = [line for spec in specs
+             for line in sweep_csv_lines(run_sweep(table, vocab, pairs, spec), spec)]
+    csv = "\n".join(lines) + "\n"
+    assert hashlib.sha256(csv.encode()).hexdigest() == TABLE_SWEEP_CSV_SHA256
+
+    src, model = tmp_path / "s.txt", tmp_path / "m.json"
+    sk.write_parallel_corpus(pairs, vocab, src, tmp_path / "t.txt")
+    sk.save_model(table, model)
+    capsys.readouterr()
+    assert run_cli("simulate", "--model", str(model), "--src", str(src), "--index", "0",
+                   "--suffix", "oracle", "--r-max", "1", "--max-target-len", "16") == 0
+    trace = capsys.readouterr().out
+    assert '"swapped_eos": true' in trace
+    assert hashlib.sha256(trace.encode()).hexdigest() == TABLE_TRACE_SHA256
 
 
 def test_inner_eos_source_exits_2_on_every_command(tmp_path, capsys):

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from simtkit import (
     EvalResult,
@@ -15,6 +15,7 @@ from simtkit import (
     hallucination_rate,
 )
 
+import bleu_oracle
 from conftest import make_vocab
 
 
@@ -84,6 +85,34 @@ def test_bleu_permutation_invariant(seed):
     base = corpus_bleu(hyps, refs)
     shuffled = corpus_bleu([hyps[i] for i in order], [refs[i] for i in order])
     assert math.isclose(base, shuffled, rel_tol=1e-12)
+
+
+# mixed case, few letters: repeated n-grams, clipping and case folding are common
+_TOKENS = st.sampled_from(["a", "A", "b", "B", "c"])
+
+
+@st.composite
+def _bleu_pair(draw):
+    """A hypothesis of 0-9 tokens and a reference that is a random sentence or
+    the hypothesis with tokens added around it, so that all four precisions
+    are often non-zero."""
+    hyp = draw(st.lists(_TOKENS, max_size=9))
+    if draw(st.booleans()):
+        ref = draw(st.lists(_TOKENS, min_size=1, max_size=9))
+    else:
+        ref = draw(st.lists(_TOKENS, max_size=2)) + hyp + draw(st.lists(_TOKENS, max_size=2))
+    return hyp, ref
+
+
+@settings(max_examples=300)
+@given(st.lists(_bleu_pair(), min_size=1, max_size=6))
+@example([([], ["a"]), ([], ["b", "c"])])                  # every hypothesis empty
+@example([(["a", "b", "c"], ["a", "b", "c"])])            # no 4-gram at all
+@example([(["A", "b", "a", "B", "a", "b"], ["a", "B", "a", "b", "A", "b"])])  # repeats
+def test_bleu_equals_the_slice_oracle_exactly(pairs):
+    hyps = [hyp for hyp, _ in pairs]
+    refs = [ref for _, ref in pairs]
+    assert corpus_bleu(hyps, refs) == bleu_oracle.corpus_bleu(hyps, refs)
 
 
 # -- hallucination rate --------------------------------------------------------------

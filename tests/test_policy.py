@@ -59,6 +59,23 @@ def test_cosine_divergence_range_and_symmetry(pq):
     assert d == cosine_divergence(q, p)  # exact symmetry
 
 
+@settings(max_examples=300)
+@given(st.integers(1, 20).flatmap(lambda n: st.tuples(_dist_strategy(n), _dist_strategy(n))))
+def test_cosine_divergence_is_bitwise_the_three_dot_formula(pq):
+    p, q = pq
+
+    def three_dots(a, b):
+        num = float(np.dot(a.probs, b.probs))
+        den = math.sqrt(float(np.dot(a.probs, a.probs)) * float(np.dot(b.probs, b.probs)))
+        return min(max(1.0 - num / den, 0.0), 1.0)
+
+    want = three_dots(p, q)
+    # first calls fill each Distribution's kept norm, later ones read it
+    for _ in range(2):
+        assert cosine_divergence(p, q) == want == cosine_divergence(q, p)
+        assert cosine_divergence(p, p) == 0.0 == three_dots(p, p)
+
+
 # -- suffixes -----------------------------------------------------------------
 
 def test_fixed_suffixes_from_registry():

@@ -90,7 +90,11 @@ def test_lookup_matches_linear_scan_oracle(data):
     for _ in range(5):
         src, tgt = data.draw(seqs), data.draw(seqs)
         expected = _linear_scan_lookup(entry_items, src, tgt, model.default)
-        assert np.array_equal(model.next_dist(src, tgt).probs, expected)
+        got = model.next_dist(src, tgt)
+        assert np.array_equal(got.probs, expected)
+        # the stored object of the first probe that hits, else the default
+        hits = [model.entries[key] for key in backoff_probes(src, tgt) if key in model.entries]
+        assert got is (hits[0] if hits else model.default)
 
 
 def test_probe_order_most_specific_first():
