@@ -46,7 +46,6 @@ from .tables import TableModel, backoff_probes
 from .training import (
     TrainConfig,
     TrainResult,
-    multipath_batch_loss,
     sample_alpha,
     sample_prefix_len,
     train,

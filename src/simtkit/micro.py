@@ -13,8 +13,9 @@ Two encoder regimes:
     cross-attention training and incremental decoding sound.
 
 Cross-attention limits restrict how much of the encoded source each decoder
-position may see; they are the engine for both streaming inference and
-prefix-to-prefix training.
+position may see; they are a training input only, the engine of
+prefix-to-prefix (multipath wait-k) training. Inference reads the source
+prefix it is given whole.
 
 Every forward runs three stages: (1) ``_encode`` turns the source into the
 cross-attention keys and values, (2) ``_decode_prefix`` runs the causal
@@ -37,10 +38,10 @@ to the batch's longest source and target, followed by one backward pass.
 Masks keep every real row off the padding: a source key mask (position
 j < the row's source length), the causal masks, and per-row cross-attention
 limits (a padded row's limit is 1). Padded logit rows get a zero gradient.
-``sentence_nlls`` is the one-item batch, so scoring and training share one
-teacher-forced path. The batch sums in another order than one pair at a
-time would, so losses and gradients agree with the per-pair arithmetic to
-rounding, not bit for bit.
+``sentence_nlls`` is the one-item ``"full"`` batch, so scoring and training
+share one teacher-forced path. The batch sums in another order than one
+pair at a time would, so losses and gradients agree with the per-pair
+arithmetic to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -164,12 +165,9 @@ class MicroModel:
         Inside the block a stage runs once per distinct source (stage 1) or
         decoder input (stage 2). The parameters must not change meanwhile;
         then a stored stage equals a fresh one bit for bit. The owner of one
-        sentence's queries opens it, so it holds one sentence's stages; a
-        block opened inside an open one joins it. Exit drops every entry.
+        sentence's queries opens it, so it holds one sentence's stages.
+        Opening starts empty stores and exit drops them.
         """
-        if self._stages is not None:
-            yield
-            return
         self._stages = ({}, {})
         try:
             yield
@@ -186,16 +184,16 @@ class MicroModel:
             out = store[key] = run(key)[0]
         return out
 
-    def _check_query(self, src: tuple[int, ...], rows: int, limits):
+    def _check_query(self, src: tuple[int, ...], rows: int, limits="full"):
         """Check a query of source ``src`` and ``rows`` decoder rows, and
         return its cross-attention limits: None for ``"full"``, else one
         integer per row.
 
         This is the one place that checks a query, for inference and
         training alike. ``limits`` caps how many leading source positions
-        each decoder row may attend to: ``"full"`` (the whole source), one
-        integer for every row, or one integer per row, each in
-        [1, len(source)].
+        each decoder row may attend to: ``"full"`` (the whole source, and
+        the only form an inference query takes) or one integer per row,
+        each in [1, len(source)].
         """
         n = len(src)
         if n == 0:
@@ -206,25 +204,13 @@ class MicroModel:
         if isinstance(limits, str) and limits == "full":
             return None
         lim = np.asarray(limits)
-        if lim.dtype.kind not in "iu" or lim.shape not in ((), (rows,)):
+        if lim.dtype.kind not in "iu" or lim.shape != (rows,):
             raise ConfigError(
-                f"cross-attention limit must be 'full', one integer or one integer "
-                f"per decoder row ({rows}), got {limits!r}")
+                f"cross-attention limit must be 'full' or one integer per decoder "
+                f"row ({rows}), got {limits!r}")
         if lim.min() < 1 or lim.max() > n:
             raise ConfigError(f"cross-attention limit {limits!r} outside [1, {n}]")
-        return np.broadcast_to(lim.astype(np.intp), (rows,))
-
-    def _forward(self, source, target, limits="full"):
-        """Logits at every row of the decoder input BOS + ``target``: one
-        query, whose stages 1 and 2 the open sentence cache may hold."""
-        src = tuple(source)
-        tgt_in = (self.vocab.bos,) + tuple(target)
-        lim = self._check_query(src, len(tgt_in), limits)
-        # a "full" limit applies no mask: an all-true one changes nothing
-        cross_allowed = None if lim is None else np.arange(len(src))[None, :] < lim[:, None]
-        cross_kv = self._stage(0, src, self._encode)
-        y1 = self._stage(1, tgt_in, self._decode_prefix)
-        return self._head(y1, cross_kv, cross_allowed)[0]
+        return lim.astype(np.intp)
 
     def _pad(self, batch):
         """The (source, target, limits) items of ``batch`` as padded arrays:
@@ -303,22 +289,28 @@ class MicroModel:
 
     # -- public surface ---------------------------------------------------
 
-    def next_dist(self, source_prefix, target_prefix, cross_limit="full") -> Distribution:
+    def next_dist(self, source_prefix, target_prefix) -> Distribution:
         """Distribution of the next target token.
 
-        The decoder input is BOS followed by ``target_prefix``; only the last
-        position's prediction is returned. ``cross_limit`` caps how many
-        source positions the decoder sees (``"full"`` = the whole prefix).
+        The decoder input is BOS followed by ``target_prefix``, and every
+        decoder row sees the whole ``source_prefix``; only the last row's
+        prediction is returned. Stages 1 and 2 come from the open sentence
+        cache when it holds them.
         """
-        logits = self._forward(source_prefix, target_prefix, cross_limit)
+        src = tuple(source_prefix)
+        tgt_in = (self.vocab.bos,) + tuple(target_prefix)
+        self._check_query(src, len(tgt_in))
+        cross_kv = self._stage(0, src, self._encode)
+        y1 = self._stage(1, tgt_in, self._decode_prefix)
+        logits = self._head(y1, cross_kv, None)[0]
         return Distribution(_softmax_rows(logits[-1]))
 
     def loss_and_grads(self, batch) -> tuple[float, dict[str, np.ndarray]]:
         """Mean token NLL over a batch plus exact gradients, from one padded
         forward and one backward.
 
-        Batch items are (source, target, limits) with limits either "full",
-        one cross-attention cap, or a per-target-position list of caps.
+        Batch items are (source, target, limits) with limits either "full"
+        or a per-target-position list of cross-attention caps.
         """
         if not batch:
             raise ConfigError("batch must be non-empty")
@@ -331,10 +323,11 @@ class MicroModel:
         dlogits *= (real * scale)[..., None]  # padded rows get no gradient
         return loss, self._batch_backward(cache, dlogits)
 
-    def sentence_nlls(self, source, target, limits="full") -> np.ndarray:
-        """Per-position -log p(y_t | ...), forward only: the one-item batch
-        of loss_and_grads, so scoring and training share one path."""
-        logits, targets, _, _ = self._batch_forward([(source, target, limits)])
+    def sentence_nlls(self, source, target) -> np.ndarray:
+        """Per-position -log p(y_t | ...) given the whole ``source``, forward
+        only: the one-item ``"full"`` batch of loss_and_grads, so scoring and
+        training share one path."""
+        logits, targets, _, _ = self._batch_forward([(source, target, "full")])
         return _log_softmax_nll(logits, targets)[0]
 
     def clone_params(self) -> dict[str, np.ndarray]:

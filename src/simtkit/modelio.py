@@ -81,6 +81,8 @@ def save_model(model, path) -> None:
             },
         }
     elif isinstance(model, TableModel):
+        # entries share their Distributions, so each distinct one converts once
+        rows = {dist: dist.probs.tolist() for dist in set(model.entries.values())}
         doc = {
             "format_version": FORMAT_VERSION,
             "kind": "table",
@@ -88,7 +90,7 @@ def save_model(model, path) -> None:
             "default": model.default.probs.tolist(),
             "backoff": BACKOFF_SCHEDULE,
             "entries": [
-                {"src": list(src), "tgt": list(tgt), "dist": dist.probs.tolist()}
+                {"src": list(src), "tgt": list(tgt), "dist": rows[dist]}
                 for (src, tgt), dist in sorted(model.entries.items())
             ],
         }

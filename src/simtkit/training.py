@@ -4,7 +4,8 @@ Three regimes:
   * offline     - full-source cross-entropy
   * multipath   - prefix-to-prefix wait-k training; one k is drawn per batch
     and cross-attention at target step t is capped at g(t;k). Requires the
-    unidirectional encoder.
+    unidirectional encoder, which ``train`` checks before the first step,
+    also when it runs no epoch.
   * p2f         - prefix-to-full mixing: per example, a Bernoulli(ratio_r)
     draw picks between the offline loss and the loss of producing the *full*
     target from a uniformly drawn source prefix x_<=l. The truncated prefix
@@ -70,19 +71,6 @@ def sample_alpha(r: float, rng: np.random.Generator) -> int:
     return int(rng.random() < r)
 
 
-def multipath_batch_loss(model: MicroModel, batch: Sequence[SentencePair], k: int):
-    """Wait-k prefix-to-prefix batch loss with per-position cross limits."""
-    if model.mode != UNIDIRECTIONAL:
-        raise ConfigError(
-            "multipath wait-k training requires a UNIDIRECTIONAL encoder")
-    items = []
-    for pair in batch:
-        n = len(pair.source)
-        limits = [waitk_g(t, k, n) for t in range(1, len(pair.target) + 1)]
-        items.append((pair.source, pair.target, limits))
-    return model.loss_and_grads(items)
-
-
 @dataclass
 class EpochStats:
     epoch: int
@@ -112,13 +100,16 @@ class TrainResult:
 def train(model: MicroModel, corpus: Sequence[SentencePair], cfg: TrainConfig) -> TrainResult:
     """Run epochs of shuffled minibatch SGD under the configured regime.
 
-    Every pair is checked against the model's ``max_len`` before the first
-    step (ConfigError), so a pair that does not fit leaves the model as it
-    was. On a NaN loss, parameters are rolled back to the start of the epoch
-    and NumericError is raised (the rolled-back model is the last good state).
+    The multipath regime's encoder and every pair's length against the
+    model's ``max_len`` are checked before the first step (ConfigError), so
+    a run that cannot train leaves the model as it was. On a NaN loss,
+    parameters are rolled back to the start of the epoch and NumericError is
+    raised (the rolled-back model is the last good state).
     """
     if not corpus:
         raise ConfigError("training corpus is empty")
+    if cfg.regime == "multipath" and model.mode != UNIDIRECTIONAL:
+        raise ConfigError("multipath wait-k training requires a UNIDIRECTIONAL encoder")
     for i, pair in enumerate(corpus):
         _check_lengths(model, pair.source, target=pair.target, sentence=i)
     seeds = np.random.SeedSequence(cfg.seed).spawn(2)
@@ -162,19 +153,20 @@ def _batch_step(model, batch, cfg, rng, alphas, ls, k_hist):
     if cfg.regime == "multipath":
         k = int(cfg.k_choices[rng.integers(0, len(cfg.k_choices))])
         k_hist[k] = k_hist.get(k, 0) + 1
-        return multipath_batch_loss(model, batch, k)
-
-    # offline and p2f build the same batch items, which loss_and_grads runs as
-    # one padded batch; so ratio_r = 0 reproduces offline training bit for bit
+    # every regime builds items for one padded batch: multipath caps row t at
+    # g(t;k) and p2f may truncate a source; untruncated p2f items are offline
+    # ones, so ratio_r = 0 reproduces offline training bit for bit
     items = []
     for pair in batch:
-        if cfg.regime == "p2f":
+        source, limits = pair.source, "full"
+        if cfg.regime == "multipath":
+            limits = [waitk_g(t, k, len(source)) for t in range(1, len(pair.target) + 1)]
+        elif cfg.regime == "p2f":
             alpha = sample_alpha(cfg.ratio_r, rng)
             alphas.append(alpha)
             if alpha:
-                l = sample_prefix_len(len(pair.source), rng)
+                l = sample_prefix_len(len(source), rng)
                 ls.append(l)
-                items.append((pair.source[:l], pair.target, "full"))
-                continue
-        items.append((pair.source, pair.target, "full"))
+                source = source[:l]
+        items.append((source, pair.target, limits))
     return model.loss_and_grads(items)

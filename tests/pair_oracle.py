@@ -69,8 +69,7 @@ def _forward(model, src, tgt_in, limits):
     y0, y1, dec_self = _self_attention(p, tgt_in, "dec_self", tri[:rows, :rows])
     allowed = None
     if not (isinstance(limits, str) and limits == "full"):
-        lim = np.broadcast_to(np.asarray(limits, dtype=np.intp), (rows,))
-        allowed = np.arange(n)[None, :] < lim[:, None]
+        allowed = np.arange(n)[None, :] < np.asarray(limits, dtype=np.intp)[:, None]
     y2, cross = _attn_forward(y1, henc @ p["dec_cross_k"], henc @ p["dec_cross_v"], p,
                               "dec_cross", allowed)
     h1 = y2 @ p["ff_w1"]
@@ -79,10 +78,9 @@ def _forward(model, src, tgt_in, limits):
     return y3 @ p["out_proj"], (x0, henc, enc, y0, dec_self, cross, y2, h1, relu, y3)
 
 
-def next_dist(model, source, target, cross_limit="full") -> np.ndarray:
+def next_dist(model, source, target) -> np.ndarray:
     """The next-token probabilities ``model.next_dist`` gives."""
-    logits, _ = _forward(model, tuple(source), (model.vocab.bos,) + tuple(target),
-                         cross_limit)
+    logits, _ = _forward(model, tuple(source), (model.vocab.bos,) + tuple(target), "full")
     return _softmax_row(logits[-1])
 
 

@@ -1,4 +1,5 @@
-"""Every public name of the package has a caller outside the tests.
+"""Every public name of the package has a caller outside the tests, and the
+model protocol takes nothing but the query.
 
 A name that only tests use is dead weight in ``src/``: this scans the
 package modules (not ``__init__.py``), ``scripts/`` and ``bench/`` and
@@ -11,6 +12,7 @@ import inspect
 from pathlib import Path
 
 import simtkit
+from simtkit.policy import _ProbeMemo
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,3 +38,13 @@ def test_every_public_name_has_a_non_test_caller():
               if not inspect.ismodule(getattr(simtkit, name))]
     assert public
     assert sorted(name for name in public if name not in used) == []
+
+
+def test_the_model_protocol_takes_only_the_query():
+    """Inference asks a model about a source prefix and a target prefix and
+    nothing else; cross-attention limits are a training input only."""
+    for owner in (simtkit.MicroModel, simtkit.TableModel, _ProbeMemo):
+        params = list(inspect.signature(owner.next_dist).parameters)
+        assert params == ["self", "source_prefix", "target_prefix"], owner
+    params = list(inspect.signature(simtkit.MicroModel.sentence_nlls).parameters)
+    assert params == ["self", "source", "target"]

@@ -32,6 +32,8 @@ from simtkit.cli import main
 from simtkit.core import decode_sentence
 from simtkit.policy import _ProbeMemo
 
+from test_micro import FIXTURES
+
 
 def copy_world(n_range=(4, 7), n_pairs=12, seed=3, vocab_size=9):
     return generate_corpus(SyntheticSpec(kind="copy", vocab_size=vocab_size,
@@ -490,6 +492,42 @@ def test_table_sweep_and_trace_bytes_are_pinned(tmp_path, capsys):
     trace = capsys.readouterr().out
     assert '"swapped_eos": true' in trace
     assert hashlib.sha256(trace.encode()).hexdigest() == TABLE_TRACE_SHA256
+
+
+# sha256 of a small micro sweep, one micro simulate trace and one divergence
+# report on the checked-in bench checkpoints: a change to the micro forward,
+# its sentence cache or the query checks that moves any output byte shows here.
+MICRO_SWEEP_CSV_SHA256 = "a894096b73132a99c73d9c94872343e27b8241c38d2363c8a327c74c0f5712fe"
+MICRO_TRACE_SHA256 = "7cbaf00ac283d0ece530b4d26cd2caba89920916d46f52fa9d78bfe7e78b28a2"
+MICRO_DIVERGENCE_SHA256 = "ad9538802255b017288cbefe66053f529cd94679d2b7ab521292346aae79a3dd"
+
+
+def test_micro_sweep_trace_and_divergence_bytes_are_pinned(tmp_path, capsys):
+    _, pairs, _ = generate_corpus(SyntheticSpec("local_swap", 10, (6, 9), 8, seed=5))
+    uni = sk.load_model(FIXTURES / "multipath_uni.json")
+    src, tgt = tmp_path / "s.txt", tmp_path / "t.txt"
+    sk.write_parallel_corpus(pairs, uni.vocab, src, tgt)
+    vocab, pairs = sk.load_parallel_corpus(src, tgt, vocab=uni.vocab)
+    specs = [SweepSpec("psfuture", lambdas=(0.01, 0.03, 0.1), suffixes=("eos", "random"),
+                       seed=2, random_top_k=7),
+             SweepSpec("waitk", ks=(1, 3))]
+    lines = [line for spec in specs
+             for line in sweep_csv_lines(run_sweep(uni, vocab, pairs, spec), spec)]
+    csv = "\n".join(lines) + "\n"
+    assert hashlib.sha256(csv.encode()).hexdigest() == MICRO_SWEEP_CSV_SHA256
+
+    capsys.readouterr()
+    assert run_cli("simulate", "--model", str(FIXTURES / "multipath_uni.json"), "--src", str(src),
+                   "--index", "1", "--suffix", "random", "--random-top-k", "7",
+                   "--seed", "4") == 0
+    trace = capsys.readouterr().out
+    assert '"kind": "R"' in trace and '"kind": "W"' in trace
+    assert hashlib.sha256(trace.encode()).hexdigest() == MICRO_TRACE_SHA256
+
+    out = tmp_path / "d.txt"
+    assert run_cli("divergence", "--model", str(FIXTURES / "p2f_bi.json"), "--src", str(src),
+                   "--tgt", str(tgt), "--index", "2", "--suffix", "eos", "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MICRO_DIVERGENCE_SHA256
 
 
 def test_inner_eos_source_exits_2_on_every_command(tmp_path, capsys):

@@ -46,31 +46,6 @@ def test_uniform_model_loss_is_log_vocab():
     assert math.isclose(loss, math.log(len(m.vocab)), rel_tol=0, abs_tol=1e-12)
 
 
-def test_unidirectional_invariance_bitwise_and_bidirectional_violation():
-    rng = np.random.default_rng(11)
-    bi_violations = 0
-    for trial in range(100):
-        uni = small_model(mode=UNIDIRECTIONAL, seed=trial, d=16)
-        bi = MicroModel(uni.vocab, d=16, max_len=12, mode=BIDIRECTIONAL,
-                        params=uni.clone_params())
-        n = int(rng.integers(4, 9))
-        g = int(rng.integers(1, n))
-        src = [int(x) for x in rng.integers(3, 11, size=n)]
-        tgt = tuple(int(x) for x in rng.integers(3, 11, size=int(rng.integers(1, 5))))
-        src2 = list(src)
-        for pos in range(g, n):
-            src2[pos] = int(rng.integers(3, 11))
-        if src2 == src:
-            src2[g] = (src2[g] - 3 + 1) % 8 + 3
-        base = uni.next_dist(tuple(src), tgt, cross_limit=g).probs
-        pert = uni.next_dist(tuple(src2), tgt, cross_limit=g).probs
-        assert np.array_equal(base, pert), f"unidirectional leak at trial {trial}"
-        if not np.array_equal(bi.next_dist(tuple(src), tgt, cross_limit=g).probs,
-                              bi.next_dist(tuple(src2), tgt, cross_limit=g).probs):
-            bi_violations += 1
-    assert bi_violations >= 1
-
-
 # -- the sentence cache of stages 1 and 2 -------------------------------------
 
 CACHE_MODELS = {mode: small_model(mode=mode, seed=12) for mode in (BIDIRECTIONAL, UNIDIRECTIONAL)}
@@ -83,12 +58,8 @@ def sentence_queries(draw):
     token = st.integers(3, 5)
     sources = draw(st.lists(st.lists(token, min_size=1, max_size=6), min_size=1, max_size=4))
     targets = draw(st.lists(st.lists(token, max_size=5), min_size=1, max_size=4))
-    queries = []
-    for _ in range(draw(st.integers(1, 12))):
-        src = tuple(draw(st.sampled_from(sources)))
-        limit = draw(st.one_of(st.just("full"), st.integers(1, len(src))))
-        queries.append((src, tuple(draw(st.sampled_from(targets))), limit))
-    return queries
+    return [(tuple(draw(st.sampled_from(sources))), tuple(draw(st.sampled_from(targets))))
+            for _ in range(draw(st.integers(1, 12)))]
 
 
 @pytest.mark.parametrize("mode", sorted(CACHE_MODELS))
@@ -96,15 +67,13 @@ def sentence_queries(draw):
 @given(queries=sentence_queries())
 # sources that differ only in their first token, their last token or their
 # length, and targets likewise
-@example(queries=[((3, 4, 1), (5,), "full"), ((5, 4, 1), (5,), "full"), ((3, 4, 5), (5,), 2),
-                  ((3, 4), (5,), "full"), ((3, 4, 1), (4,), 3), ((3, 4, 1), (4, 4), "full"),
-                  ((3, 4, 1), (), 1), ((3, 4, 1), (5,), "full")])
+@example(queries=[((3, 4, 1), (5,)), ((5, 4, 1), (5,)), ((3, 4, 5), (5,)), ((3, 4), (5,)),
+                  ((3, 4, 1), (4,)), ((3, 4, 1), (4, 4)), ((3, 4, 1), ()), ((3, 4, 1), (5,))])
 def test_sentence_cache_answers_bitwise_as_without_it(mode, queries):
     model = CACHE_MODELS[mode]
-    want = [model.next_dist(src, tgt, cross_limit=limit).probs for src, tgt, limit in queries]
+    want = [model.next_dist(*query).probs for query in queries]
     with model._sentence_cache():
-        got = [model.next_dist(src, tgt, cross_limit=limit).probs
-               for src, tgt, limit in queries]
+        got = [model.next_dist(*query).probs for query in queries]
     assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
 
 
@@ -112,10 +81,7 @@ def test_sentence_cache_is_dropped_on_exit():
     m = small_model(mode=UNIDIRECTIONAL)
     with m._sentence_cache():
         m.next_dist((3, 4, 1), (5,))
-        with m._sentence_cache():  # joins the open block
-            m.next_dist((3, 4), (5,))
-        m.next_dist((3, 4), (5,), cross_limit=1)
-        assert [len(store) for store in m._stages] == [2, 1]
+        m.next_dist((3, 4), (5,))
     assert m._stages is None
     with pytest.raises(CapacityError):
         with m._sentence_cache():
@@ -238,19 +204,20 @@ def test_capacity_and_limit_errors():
     src, tgt = (3, 4, 5, 6, 1), (3, 4, 5, 6, 1)
     with pytest.raises(CapacityError):
         m.next_dist(tuple([3] * 20) + (1,), ())
-    with pytest.raises(ConfigError, match=r"cross-attention limit 9 outside \[1, 3\]"):
-        m.next_dist((3, 4, 1), (), cross_limit=9)  # beyond source length
-    # one limit for a five-token target is not one per decoder row
-    with pytest.raises(ConfigError, match=r"cross-attention limit .*per decoder row \(5\)"):
-        m.sentence_nlls(src, tgt, [2])
-    with pytest.raises(ConfigError, match=r"cross-attention limit .*per decoder row \(5\)"):
-        m.loss_and_grads([(src, tgt, [2])])
+    with pytest.raises(ConfigError, match=r"cross-attention limit \[1, 2, 9\] outside \[1, 3\]"):
+        m.loss_and_grads([((3, 4, 1), (3, 4, 1), [1, 2, 9])])  # beyond source length
+    # one limit for a five-token target is not one per decoder row, and a
+    # scalar does not stand for every row
+    for limits, shown in (([2], r"\[2\]"), (2, "2")):
+        with pytest.raises(ConfigError, match=r"cross-attention limit must be 'full' or one "
+                                              rf"integer per decoder row \(5\), got {shown}$"):
+            m.loss_and_grads([(src, tgt, limits)])
     with pytest.raises(ConfigError, match="target must be non-empty"):
         m.sentence_nlls(src, ())
-    with pytest.raises(ConfigError, match=r"cross-attention limit .*got 2\.7"):
-        m.next_dist(src, tgt[:2], cross_limit=2.7)
+    with pytest.raises(ConfigError, match=r"cross-attention limit .*got \[2\.7, 2\.7"):
+        m.loss_and_grads([(src, tgt, [2.7] * 5)])
     with pytest.raises(ConfigError, match="cross-attention limit .*got 'all'"):
-        m.next_dist(src, tgt[:2], cross_limit="all")  # "full" is the only sentinel
+        m.loss_and_grads([(src, tgt, "all")])  # "full" is the only sentinel
     for call in (lambda: m.next_dist((), ()),
                  lambda: m.sentence_nlls((), tgt),
                  lambda: m.loss_and_grads([((), tgt, "full")])):
@@ -337,7 +304,7 @@ def test_gradient_check_mixed_padded_batch(mode):
     m = small_model(mode=mode)
     batch = [((5, 6, 7, 4, 1), (5, 6, 1), "full"),
              ((7, 4), (7, 4, 3, 5, 6, 1), "full"),  # p2f: l = 2 of a 6-token source
-             ((3, 5, 6, 1), (3, 5, 6, 4, 1), 2),
+             ((3, 5, 6, 1), (3, 5, 6, 4, 1), [2] * 5),
              ((4, 4, 5, 6, 7, 1), (4, 5, 6, 1), [1, 3, 6, 6])]
     assert max_fd_rel_error(m, batch) < 1e-3
 
@@ -349,9 +316,9 @@ def training_batches(draw):
     for _ in range(draw(st.integers(1, 6))):
         src = draw(st.lists(st.integers(3, 10), min_size=1, max_size=8))
         tgt = draw(st.lists(st.integers(3, 10), min_size=1, max_size=8))
-        kind = draw(st.sampled_from(["full", "one", "per row", "p2f"]))
-        if kind == "one":
-            limits = draw(st.integers(1, len(src)))
+        kind = draw(st.sampled_from(["full", "constant", "per row", "p2f"]))
+        if kind == "constant":
+            limits = [draw(st.integers(1, len(src)))] * len(tgt)
         elif kind == "per row":
             limits = draw(st.lists(st.integers(1, len(src)), min_size=len(tgt),
                                    max_size=len(tgt)))
@@ -375,7 +342,7 @@ def test_padded_batch_matches_the_per_pair_oracle(mode, batch):
     for name, want in want_grads.items():
         assert np.abs(grads[name] - want).max() <= 1e-12 * np.abs(want).max(), name
     for item, nlls in zip(batch, batch_nlls(model, batch)):
-        alone = model.sentence_nlls(*item)
+        alone = batch_nlls(model, [item])[0]
         assert np.allclose(nlls[:len(alone)], alone, rtol=1e-12, atol=0)
 
 
@@ -414,7 +381,7 @@ def test_next_dist_keeps_the_single_query_arithmetic_on_the_bench_fixtures(name)
         n = int(rng.integers(1, 13))
         src = tuple(int(x) for x in rng.integers(1, len(model.vocab), n))
         tgt = tuple(int(x) for x in rng.integers(1, len(model.vocab), int(rng.integers(0, 12))))
-        queries.append((src, tgt, "full" if rng.random() < 0.5 else int(rng.integers(1, n + 1))))
+        queries.append((src, tgt))
     want = [pair_oracle.next_dist(model, *q).tobytes() for q in queries]
     assert [model.next_dist(*q).probs.tobytes() for q in queries] == want
     with model._sentence_cache():

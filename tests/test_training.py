@@ -11,11 +11,12 @@ from simtkit import (
     NumericError,
     TrainConfig,
     UNIDIRECTIONAL,
-    multipath_batch_loss,
     sample_alpha,
     sample_prefix_len,
     train,
 )
+
+from test_micro import batch_nlls
 
 
 def copy_corpus(n_pairs=40, seed=1, n_range=(4, 6), vocab_size=11):
@@ -75,11 +76,22 @@ def test_p2f_loss_uniform_model_is_log_vocab_any_prefix():
         m.loss_and_grads([(pair.source[:0], pair.target, "full")])
 
 
+def waitk_limits(pair, k):
+    """The per-row cross-attention limits of multipath training at ``k``."""
+    return [sk.waitk_g(t, k, len(pair.source)) for t in range(1, len(pair.target) + 1)]
+
+
 def test_multipath_requires_unidirectional():
     vocab, pairs = copy_corpus()
     m = MicroModel(vocab, d=16, max_len=16, mode=BIDIRECTIONAL, seed=7)
-    with pytest.raises(ConfigError):
-        multipath_batch_loss(m, pairs[:2], k=2)
+    before = m.clone_params()
+    counting = CountingForwards(m)
+    for epochs in (0, 1):
+        with pytest.raises(ConfigError, match="^multipath wait-k training requires a "
+                                              "UNIDIRECTIONAL encoder$"):
+            train(counting, pairs, TrainConfig(regime="multipath", epochs=epochs))
+    assert counting.forwards == 0
+    assert all(m.params[k].tobytes() == before[k].tobytes() for k in before)
 
 
 def test_multipath_equals_offline_when_k_covers_source():
@@ -87,8 +99,26 @@ def test_multipath_equals_offline_when_k_covers_source():
     m = MicroModel(vocab, d=16, max_len=16, mode=UNIDIRECTIONAL, seed=7)
     batch = pairs[:4]
     lo, _ = m.loss_and_grads([(p.source, p.target, "full") for p in batch])
-    lk, _ = multipath_batch_loss(m, batch, k=99)
+    lk, _ = m.loss_and_grads([(p.source, p.target, waitk_limits(p, 99)) for p in batch])
     assert lo == lk
+
+    def run(regime):  # train builds the same limits, so its steps match too
+        model = MicroModel(vocab, d=16, max_len=16, mode=UNIDIRECTIONAL, seed=7)
+        res = train(model, pairs, TrainConfig(regime=regime, k_choices=(99,), epochs=2,
+                                              batch_size=8, lr=0.1, seed=5))
+        return res.step_losses, {k: v.tobytes() for k, v in model.params.items()}
+
+    assert run("multipath") == run("offline")
+
+
+def test_multipath_steps_score_the_waitk_limits():
+    vocab, pairs = copy_corpus(n_pairs=12)
+    m = MicroModel(vocab, d=16, max_len=16, mode=UNIDIRECTIONAL, seed=7)
+    res = train(m, pairs, TrainConfig(regime="multipath", k_choices=(2,), epochs=1,
+                                      batch_size=1, lr=0.0))
+    want = [m.loss_and_grads([(p.source, p.target, waitk_limits(p, 2))])[0] for p in pairs]
+    assert sorted(res.step_losses) == sorted(want)
+    assert want != [m.loss_and_grads([(p.source, p.target, "full")])[0] for p in pairs]
 
 
 def test_multipath_mask_audit_bit_exact():
@@ -96,9 +126,8 @@ def test_multipath_mask_audit_bit_exact():
     m = MicroModel(vocab, d=16, max_len=16, mode=UNIDIRECTIONAL, seed=8)
     pair = pairs[0]
     n = len(pair.source)
-    k = 2
-    limits = [sk.waitk_g(t, k, n) for t in range(1, len(pair.target) + 1)]
-    base = m.sentence_nlls(pair.source, pair.target, limits)
+    limits = waitk_limits(pair, 2)
+    base = batch_nlls(m, [(pair.source, pair.target, limits)])[0]
     rng = np.random.default_rng(0)
     for t in range(1, len(pair.target) + 1):
         g = limits[t - 1]
@@ -107,7 +136,7 @@ def test_multipath_mask_audit_bit_exact():
         perturbed = list(pair.source)
         for pos in range(g, n):
             perturbed[pos] = int(rng.integers(3, len(vocab)))
-        got = m.sentence_nlls(tuple(perturbed), pair.target, limits)
+        got = batch_nlls(m, [(tuple(perturbed), pair.target, limits)])[0]
         assert got[t - 1] == base[t - 1], f"position {t} saw beyond g(t;k)"
 
 
