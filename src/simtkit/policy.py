@@ -142,10 +142,9 @@ def make_suffix(
             raise ConfigError("fixed suffix must end with EOS")
         return spec.tokens
     if isinstance(spec, RandomSuffix):
-        if rng is None:
-            raise ConfigError("random suffix requires a seeded rng")
+        draws = _draw(spec, rng)
         pool = vocab.top_ranked_ids(spec.top_k)
-        return tuple(int(pool[i]) for i in rng.integers(0, len(pool), size=spec.count))
+        return tuple(int(pool[i]) for i in draws)
     if isinstance(spec, OracleSuffix):
         if full_source is None:
             raise ConfigError("oracle suffix requires the full source")
@@ -153,6 +152,14 @@ def make_suffix(
             raise ConfigError("oracle suffix undefined once the source is exhausted")
         return tuple(full_source[j:])
     raise ConfigError(f"unknown suffix spec {spec!r}")
+
+
+def _draw(spec: RandomSuffix, rng: np.random.Generator | None) -> np.ndarray:
+    """The ``spec.count`` ranks below ``spec.top_k`` that one random suffix
+    takes from ``rng``: the only use a decision makes of the generator."""
+    if rng is None:
+        raise ConfigError("random suffix requires a seeded rng")
+    return rng.integers(0, spec.top_k, size=spec.count)
 
 
 def _check_lengths(model, source, suffixes=(), max_target_len=None, target=None,
@@ -249,6 +256,55 @@ class SimulationResult:
     truncated: bool
 
 
+def _replay(after: SimulationResult | None, cfg: PolicyConfig, suffix_spec: SuffixSpec,
+            rng: np.random.Generator | None, n: int):
+    """The state ``(j, r_c, hyp, g_record, trace)`` a run at ``cfg.lam``
+    starts its decision loop from: the decisions it shares with ``after``.
+
+    ``after`` is a run of the same sentence with the same suffix and settings
+    at a lambda no larger than ``cfg.lam``. One of its decisions can turn out
+    otherwise at ``cfg.lam`` only where it read with a divergence in
+    (lambda, ``cfg.lam``]; forced writes and the EOS guard read only the state
+    the records before them leave. So every record before the first plain
+    read whose divergence is ``<= cfg.lam`` is copied as a new dict, and a
+    random suffix's generator takes the one draw each copied unforced
+    decision took. A record that no such run could hold raises ConfigError
+    naming its step.
+    """
+    j = min(cfg.initial_prefix, n)   # consumed source tokens
+    r_c = 1  # consecutive reads; the initial prefix counts as one
+    hyp: tuple[int, ...] = ()
+    g_record: list[int] = []         # j at the time of each write
+    trace: list[dict] = []
+    for rec in after.trace if after is not None else ():
+        step = len(trace) + 1
+        divergence = rec.get("divergence")
+        reason = rec.get("reason")
+        if rec["kind"] == READ and reason is None and divergence <= cfg.lam:
+            break
+        if rec["j"] > n:
+            raise ConfigError(f"after= step {step}: j={rec['j']} lies beyond "
+                              f"the {n}-token source")
+        if rec["j"] != j:
+            start = "the run starts at min(initial_prefix, len(source))"
+            raise ConfigError(f"after= step {step}: j={rec['j']}, but "
+                              f"{start if step == 1 else 'the steps before it leave'} j={j}")
+        if reason in (THRESHOLD, EOS_DEFERRED) and divergence > cfg.lam:
+            raise ConfigError(f"after= step {step}: a {reason} decision at divergence "
+                              f"{divergence!r} > lam={cfg.lam!r}, from a run at a larger lambda")
+        if divergence is not None and isinstance(suffix_spec, RandomSuffix):
+            _draw(suffix_spec, rng)
+        trace.append(dict(rec))
+        if rec["kind"] == READ:
+            j += 1
+            r_c += 1
+        else:
+            hyp += (rec["token"],)
+            g_record.append(j)
+            r_c = 0
+    return j, r_c, hyp, g_record, trace
+
+
 @_one_sentence
 def simulate_sentence(
     model,
@@ -257,12 +313,22 @@ def simulate_sentence(
     suffix_spec: SuffixSpec,
     source: Sequence[int],
     rng: np.random.Generator | None = None,
+    after: SimulationResult | None = None,
 ) -> SimulationResult:
     """Run the adaptive read/write loop over one source sentence.
 
     Each decision asks the model once for the plain next-token distribution,
     which both measures the divergence and supplies the written token. Only
     an unforced decision draws a suffix and asks the pseudo probe.
+
+    ``after``, when given, is this sentence's run with the same suffix and
+    settings at a lambda no larger than ``cfg.lam`` (in a sweep, the
+    previous cell's). The decisions up to its first plain read whose divergence is
+    ``<= cfg.lam`` come out the same at ``cfg.lam``, so they are copied from
+    it, with no query, and a random suffix's generator is advanced by their
+    draws; the result equals a run without ``after`` in every field and
+    leaves ``rng`` in the same state. A bad ``after`` raises ConfigError
+    before the first forward.
 
     The trace holds one record per decision: kind R/W, the cursor at
     decision time, the divergence when one was computed, the force reason
@@ -276,11 +342,7 @@ def simulate_sentence(
     _check_lengths(model, source, (suffix_spec,), max_target_len=cfg.max_target_len)
 
     n = len(source)
-    j = min(cfg.initial_prefix, n)   # consumed source tokens
-    r_c = 1  # consecutive reads; the initial prefix counts as one
-    hyp: tuple[int, ...] = ()
-    g_record: list[int] = []         # j at the time of each write
-    trace: list[dict] = []
+    j, r_c, hyp, g_record, trace = _replay(after, cfg, suffix_spec, rng, n)
     truncated = False
 
     while not hyp or hyp[-1] != vocab.eos:

@@ -4,7 +4,11 @@ A sweep evaluates one (lambda or k) x suffix cell at a time over a corpus,
 one sentence after another, and emits one EvalResult row per cell, sorted
 by AL. Each sentence's RNG is ``sentence_rng(seed, sentence index)``, so
 a cell or a sentence re-run on its own agrees byte for byte with the full
-sweep; the sweep's probe memo is exact, so it changes forwards, not results.
+sweep. Two things make a sweep cheaper without changing a result: the probe
+memo answers each distinct query once, and each psfuture cell after a
+suffix's first replays, sentence by sentence, the decisions the previous
+(smaller) lambda already made that a larger lambda cannot change
+(``simulate_sentence``'s ``after``).
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from .core import ConfigError, PolicyConfig, SentencePair, Vocabulary
 from .metrics import EvalResult, evaluate_run
 from .policy import (
     RandomSuffix,
+    SimulationResult,
     _ProbeMemo,
     _check_lengths,
     divergence_matrix,
@@ -88,7 +93,12 @@ def run_sweep(
     Every sentence is checked against the model's ``max_len`` (when it has
     one) before the first cell runs. All cells send their queries through
     one probe memo, so a query asked again by a later decision, sentence or
-    cell costs no forward; the memo is dropped on return.
+    cell costs no forward; the memo is dropped on return. A suffix's psfuture
+    cells run in the ascending lambda order ``SweepSpec`` requires, and each
+    sentence of a cell gets its run in the cell before as ``after=``, so it
+    copies the decisions that lambda shares with it instead of making them
+    again. Every cell and sentence still goes through ``simulate_sentence``,
+    in cell order, and returns its full trace.
     """
     if not pairs:
         raise ConfigError("sweep corpus is empty")
@@ -103,15 +113,23 @@ def run_sweep(
                        sentence=i)
     memo = _ProbeMemo(model)
     if spec.policy == "waitk":
-        results = [_run_cell(memo, vocab, pairs, spec, k=k) for k in spec.ks]
+        results = [_run_cell(memo, vocab, pairs, spec, k=k)[0] for k in spec.ks]
     else:
-        results = [_run_cell(memo, vocab, pairs, spec, lam=lam, suffix=suffix)
-                   for suffix in suffixes for lam in spec.lambdas]
+        results = []
+        for suffix in suffixes:
+            sims = None
+            for lam in spec.lambdas:
+                row, sims = _run_cell(memo, vocab, pairs, spec, lam=lam, suffix=suffix,
+                                      after=sims)
+                results.append(row)
     results.sort(key=lambda r: (r.al, r.lambda_or_k, r.suffix))
     return results
 
 
-def _run_cell(model, vocab, pairs, spec, k=None, lam=None, suffix=None) -> EvalResult:
+def _run_cell(model, vocab, pairs, spec, k=None, lam=None, suffix=None,
+              after=None) -> tuple[EvalResult, list[SimulationResult]]:
+    """The row of one cell and its run of each sentence; ``after`` holds a
+    psfuture cell's runs at the suffix's previous lambda."""
     if k is not None:
         def one(_i, source):
             return simulate_waitk(model, vocab, k, source,
@@ -119,34 +137,35 @@ def _run_cell(model, vocab, pairs, spec, k=None, lam=None, suffix=None) -> EvalR
         policy, value, suffix_id = "waitk", k, ""
     else:
         cfg = spec.policy_config(lam)
+        draws = isinstance(suffix, RandomSuffix)
 
         def one(i, source):
             return simulate_sentence(model, vocab, cfg, suffix, source,
-                                     rng=sentence_rng(spec.seed, i))
+                                     rng=sentence_rng(spec.seed, i) if draws else None,
+                                     after=None if after is None else after[i])
         policy, value, suffix_id = "psfuture", lam, suffix.name
 
-    hyps, g_records = [], []
+    sims = []
     for i, pair in enumerate(pairs):
         try:
-            sim = one(i, pair.source)
+            sims.append(one(i, pair.source))
         except Exception as exc:
             raise RuntimeError(
                 f"sweep cell failed (policy={policy}, value={value}, "
                 f"suffix={suffix_id or '-'}) at sentence {i}: {exc}") from exc
-        hyps.append(sim.hypothesis)
-        g_records.append(sim.g_record)
+    hyps = [sim.hypothesis for sim in sims]
 
     alignments = None
     if all(p.alignment is not None for p in pairs) and \
             all(h == p.target for h, p in zip(hyps, pairs)):
         # hypotheses match the references exactly, so the gold alignments apply
         alignments = [p.alignment for p in pairs]
-    return evaluate_run(
+    row = evaluate_run(
         vocab,
         [p.source for p in pairs],
         [p.target for p in pairs],
         hyps,
-        g_records,
+        [sim.g_record for sim in sims],
         alignments,
         policy=policy,
         lambda_or_k=value,
@@ -154,6 +173,7 @@ def _run_cell(model, vocab, pairs, spec, k=None, lam=None, suffix=None) -> EvalR
         r_max=spec.r_max if k is None else None,
         seed=spec.seed,
     )
+    return row, sims
 
 
 def sweep_csv_lines(results: Sequence[EvalResult], spec: SweepSpec,

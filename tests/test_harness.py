@@ -1,8 +1,11 @@
+import copy
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import simtkit as sk
 from simtkit import (
@@ -60,18 +63,6 @@ def test_psfuture_sweep_monotone_and_exact():
     assert all(r.bleu == 100.0 for r in rows)
     als = [r.al for r in sorted(rows, key=lambda r: r.lambda_or_k)]
     assert als == sorted(als, reverse=True)
-
-
-def test_sweep_cell_independence():
-    vocab, pairs, model = copy_world()
-    full = run_sweep(model, vocab, pairs,
-                     SweepSpec(policy="psfuture", lambdas=(0.05, 0.2),
-                               suffixes=("eos",), seed=9))
-    only_second = run_sweep(model, vocab, pairs,
-                            SweepSpec(policy="psfuture", lambdas=(0.2,),
-                                      suffixes=("eos",), seed=9))
-    matching = [r for r in full if r.lambda_or_k == 0.2]
-    assert matching == only_second
 
 
 class CountingModel:
@@ -229,6 +220,94 @@ def table_world():
 def micro_world():
     vocab, pairs, _ = copy_world(n_pairs=10)
     return vocab, pairs, MicroModel(vocab, d=8, max_len=16, mode=UNIDIRECTIONAL, seed=4)
+
+
+# lambdas that split the decisions of each world: a table's divergences are 0
+# or near 0.59, an untrained micro model's lie between about 4e-10 and 2e-8
+CELL_LAMBDAS = {table_world: (0.0, 0.3, 0.6), micro_world: (1e-9, 3e-9, 6e-9)}
+
+
+def test_sweep_cell_independence(monkeypatch):
+    """Each cell of a sweep, whose later lambdas replay the one before, equals
+    that cell run alone, row and every sentence's run."""
+    suffixes = ("eos", "oracle", "random")
+    for world, lambdas in CELL_LAMBDAS.items():
+        vocab, pairs, model = world()
+        full = SweepSpec(policy="psfuture", lambdas=lambdas, suffixes=suffixes,
+                         r_max=4, max_target_len=12, seed=9, random_top_k=6)
+        rows, sims, _ = sweep_recorded(monkeypatch, model, vocab, pairs, full)
+        assert len({(row.suffix, row.al) for row in rows}) > len(suffixes)  # lambda matters
+        cells = [(suffix, lam) for suffix in suffixes for lam in lambdas]
+        for c, (suffix, lam) in enumerate(cells):
+            alone = dataclasses.replace(full, lambdas=(lam,), suffixes=(suffix,))
+            row, cell_sims, _ = sweep_recorded(monkeypatch, model, vocab, pairs, alone)
+            assert row == [r for r in rows if (r.suffix, r.lambda_or_k) == (suffix, lam)]
+            assert cell_sims == sims[c * len(pairs):(c + 1) * len(pairs)], (world, suffix, lam)
+
+
+@pytest.mark.parametrize("world", [table_world, micro_world])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_replaying_a_smaller_lambda_equals_the_solo_run(world, data):
+    """A run given ``after=`` (the same sentence at a smaller lambda) equals
+    the run without it, leaves the generator where it leaves it, and shares
+    no trace record with ``after``."""
+    vocab, pairs, model = world()
+    source = data.draw(st.sampled_from(pairs)).source
+    suffix = suffix_from_name(data.draw(st.sampled_from(["eos", "oracle", "random", "unk-eos"])),
+                              vocab, random_top_k=6)
+    r_max = data.draw(st.sampled_from([None, 1, 4]))
+    max_target_len = data.draw(st.integers(1, 12))  # below most lengths + 1: truncates
+    seed = data.draw(st.integers(0, 2**32 - 1))
+
+    def run(lam, after=None):
+        rng = np.random.default_rng(seed)
+        cfg = PolicyConfig(lam=lam, r_max=r_max, max_target_len=max_target_len)
+        sim = simulate_sentence(model, vocab, cfg, suffix, source, rng=rng, after=after)
+        return sim, rng.bit_generator.state
+
+    # the divergences this sentence meets at either end of the scale, so the
+    # lambdas fall between them, or on them, on both models' scales
+    met = sorted({rec["divergence"] for lam in (-1.0, 2.0) for rec in run(lam)[0].trace
+                  if rec.get("divergence") is not None})
+    lam = st.sampled_from(met) | st.floats(-0.1, 1.1) if met else st.floats(-0.1, 1.1)
+    lam_a, lam_b = sorted((data.draw(lam), data.draw(lam)))
+    before, _ = run(lam_a)
+    kept = copy.deepcopy(before)
+    solo, solo_state = run(lam_b)
+    replayed, state = run(lam_b, after=before)
+    assert replayed == solo
+    assert state == solo_state
+    assert before == kept
+    assert not {id(rec) for rec in replayed.trace} & {id(rec) for rec in before.trace}
+
+
+def test_a_bad_after_is_rejected_before_the_first_forward():
+    vocab, pairs, model = table_world()
+    counting = CountingModel(model)
+    source = pairs[0].source
+    eos = suffix_from_name("eos", vocab)
+    run_at_1 = simulate_sentence(model, vocab, PolicyConfig(lam=1.0), eos, source)
+    written = next(rec["step"] for rec in run_at_1.trace
+                   if rec.get("reason") in ("THRESHOLD", "EOS_DEFERRED"))
+    # a run at a larger lambda
+    with pytest.raises(ConfigError, match=rf"^after= step {written}: a (THRESHOLD|EOS_DEFERRED) "
+                                          r"decision at divergence .* > lam=-1\.0"):
+        simulate_sentence(counting, vocab, PolicyConfig(lam=-1.0), eos, source, after=run_at_1)
+    # a run from another initial prefix
+    with pytest.raises(ConfigError, match=r"^after= step 1: j=2, but the run starts at "
+                                          r"min\(initial_prefix, len\(source\)\) j=3$"):
+        simulate_sentence(counting, vocab, PolicyConfig(lam=1.0, initial_prefix=3), eos, source,
+                          after=run_at_1)
+    # a record past the end of the source, and one that does not follow its step
+    for step, j, message in ((3, len(source) + 1, f"lies beyond the {len(source)}-token source"),
+                             (3, 0, "but the steps before it leave j=")):
+        trace = [dict(rec) for rec in run_at_1.trace]
+        trace[step - 1]["j"] = j
+        bad = dataclasses.replace(run_at_1, trace=trace)
+        with pytest.raises(ConfigError, match=rf"^after= step {step}: j={j}.*{message}"):
+            simulate_sentence(counting, vocab, PolicyConfig(lam=1.0), eos, source, after=bad)
+    assert counting.forwards == 0
 
 
 @pytest.mark.parametrize("world", [table_world, micro_world])
