@@ -335,6 +335,8 @@ def _cmd_eval(args) -> int:
         if not args.src:
             raise ValueError("--g-records requires --src for source lengths")
         src_lines = core.read_token_lines(args.src)
+        if len(src_lines) != len(hyp_lines):
+            raise ValueError("--src is not line-aligned with the corpus")
         with open(args.g_records, encoding="utf-8") as fh:
             g_lines = [[int(x) for x in line.split()] for line in fh.read().splitlines()]
         if len(g_lines) != len(hyp_lines):

@@ -128,7 +128,7 @@ def load_model(path):
             data = _field(tensors[name], "data", _LIST, _NUMBER)
             try:
                 params[name] = np.array(data, dtype=np.float64).reshape(shape)
-            except OverflowError as exc:  # an integer beyond float64
+            except (OverflowError, ValueError) as exc:  # an int beyond float64, a wrong count
                 raise ModelFileError(f"tensor {name!r}: {exc}") from exc
             if not np.isfinite(params[name]).all():  # json reads NaN and Infinity
                 raise ModelFileError(f"tensor {name!r} holds non-finite values")

@@ -83,6 +83,8 @@ class RandomSuffix:
     def __post_init__(self):
         if self.count < 1:
             raise ConfigError(f"random suffix count {self.count} must be >= 1")
+        if self.top_k < 1:
+            raise ConfigError(f"random suffix top_k={self.top_k} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -256,53 +258,38 @@ class SimulationResult:
     truncated: bool
 
 
-def _replay(after: SimulationResult | None, cfg: PolicyConfig, suffix_spec: SuffixSpec,
-            rng: np.random.Generator | None, n: int):
-    """The state ``(j, r_c, hyp, g_record, trace)`` a run at ``cfg.lam``
-    starts its decision loop from: the decisions it shares with ``after``.
+def _shared(after: SimulationResult | None, lam: float) -> list[dict]:
+    """The records of ``after`` that a run at ``lam`` shares with it: those
+    before its first plain read whose divergence is ``<= lam``."""
+    records = [] if after is None else after.trace
+    for i, rec in enumerate(records):
+        if rec["kind"] == READ and "reason" not in rec and rec["divergence"] <= lam:
+            return records[:i]
+    return records
 
-    ``after`` is a run of the same sentence with the same suffix and settings
-    at a lambda no larger than ``cfg.lam``. One of its decisions can turn out
-    otherwise at ``cfg.lam`` only where it read with a divergence in
-    (lambda, ``cfg.lam``]; forced writes and the EOS guard read only the state
-    the records before them leave. So every record before the first plain
-    read whose divergence is ``<= cfg.lam`` is copied as a new dict, and a
-    random suffix's generator takes the one draw each copied unforced
-    decision took. A record that no such run could hold raises ConfigError
-    naming its step.
-    """
-    j = min(cfg.initial_prefix, n)   # consumed source tokens
-    r_c = 1  # consecutive reads; the initial prefix counts as one
-    hyp: tuple[int, ...] = ()
-    g_record: list[int] = []         # j at the time of each write
-    trace: list[dict] = []
-    for rec in after.trace if after is not None else ():
-        step = len(trace) + 1
-        divergence = rec.get("divergence")
-        reason = rec.get("reason")
-        if rec["kind"] == READ and reason is None and divergence <= cfg.lam:
-            break
-        if rec["j"] > n:
-            raise ConfigError(f"after= step {step}: j={rec['j']} lies beyond "
-                              f"the {n}-token source")
-        if rec["j"] != j:
-            start = "the run starts at min(initial_prefix, len(source))"
-            raise ConfigError(f"after= step {step}: j={rec['j']}, but "
-                              f"{start if step == 1 else 'the steps before it leave'} j={j}")
-        if reason in (THRESHOLD, EOS_DEFERRED) and divergence > cfg.lam:
-            raise ConfigError(f"after= step {step}: a {reason} decision at divergence "
-                              f"{divergence!r} > lam={cfg.lam!r}, from a run at a larger lambda")
-        if divergence is not None and isinstance(suffix_spec, RandomSuffix):
-            _draw(suffix_spec, rng)
-        trace.append(dict(rec))
-        if rec["kind"] == READ:
-            j += 1
-            r_c += 1
-        else:
-            hyp += (rec["token"],)
-            g_record.append(j)
-            r_c = 0
-    return j, r_c, hyp, g_record, trace
+
+def _check_shared(rec: dict, step: int, j: int, n: int, forced: str | None,
+                  cfg: PolicyConfig) -> None:
+    """Raise ConfigError naming ``step`` if no run at ``cfg`` could hold the
+    shared record ``rec`` where the steps before it leave cursor ``j`` and
+    force reason ``forced``."""
+    if rec["j"] > n:
+        raise ConfigError(f"after= step {step}: j={rec['j']} lies beyond "
+                          f"the {n}-token source")
+    if rec["j"] != j:
+        start = "the run starts at min(initial_prefix, len(source))"
+        raise ConfigError(f"after= step {step}: j={rec['j']}, but "
+                          f"{start if step == 1 else 'the steps before it leave'} j={j}")
+    reason = rec.get("reason")
+    carried = reason if reason in (RMAX, EXHAUSTED) else None
+    if carried != forced:
+        raise ConfigError(f"after= step {step}: a decision forced by {carried or 'nothing'}, "
+                          f"where this run is forced by {forced or 'nothing'} "
+                          f"(r_max={cfg.r_max!r}), from a run with other settings")
+    if reason in (THRESHOLD, EOS_DEFERRED) and rec["divergence"] > cfg.lam:
+        raise ConfigError(f"after= step {step}: a {reason} decision at divergence "
+                          f"{rec['divergence']!r} > lam={cfg.lam!r}, "
+                          f"from a run at a larger lambda")
 
 
 @_one_sentence
@@ -321,14 +308,15 @@ def simulate_sentence(
     which both measures the divergence and supplies the written token. Only
     an unforced decision draws a suffix and asks the pseudo probe.
 
-    ``after``, when given, is this sentence's run with the same suffix and
-    settings at a lambda no larger than ``cfg.lam`` (in a sweep, the
-    previous cell's). The decisions up to its first plain read whose divergence is
-    ``<= cfg.lam`` come out the same at ``cfg.lam``, so they are copied from
-    it, with no query, and a random suffix's generator is advanced by their
-    draws; the result equals a run without ``after`` in every field and
-    leaves ``rng`` in the same state. A bad ``after`` raises ConfigError
-    before the first forward.
+    ``after``, when given, is this sentence's run with the same suffix at a
+    lambda no larger than ``cfg.lam`` (in a sweep, the previous cell's). Its
+    records before its first plain read whose divergence is ``<= cfg.lam``
+    come out the same at ``cfg.lam``: the loop takes each, as a new dict, in
+    place of a query (a random suffix's generator takes its draw) and passes
+    it through the same length guard and transition, so the result equals a
+    run without ``after`` and leaves ``rng`` in the same state. A record whose
+    cursor, force reason or divergence this run could not hold raises
+    ConfigError naming its step, before the first forward.
 
     The trace holds one record per decision: kind R/W, the cursor at
     decision time, the divergence when one was computed, the force reason
@@ -342,57 +330,65 @@ def simulate_sentence(
     _check_lengths(model, source, (suffix_spec,), max_target_len=cfg.max_target_len)
 
     n = len(source)
-    j, r_c, hyp, g_record, trace = _replay(after, cfg, suffix_spec, rng, n)
+    shared = _shared(after, cfg.lam)
+    j = min(cfg.initial_prefix, n)   # consumed source tokens
+    r_c = 1  # consecutive reads; the initial prefix counts as one
+    hyp: tuple[int, ...] = ()
+    g_record: list[int] = []         # j at the time of each write
+    trace: list[dict] = []
     truncated = False
 
     while not hyp or hyp[-1] != vocab.eos:
         if len(hyp) >= cfg.max_target_len:
             truncated = True
             break
-        plain = model.next_dist(source[:j], hyp)
-        divergence = None
-        if j >= n:
-            reason = EXHAUSTED
-        elif cfg.r_max is not None and r_c >= cfg.r_max:
-            reason = RMAX
-        else:
-            suffix = make_suffix(suffix_spec, vocab, rng, full_source=source, j=j)
-            pseudo = model.next_dist(source[:j] + tuple(suffix), hyp)
-            divergence = cosine_divergence(plain, pseudo)
-            reason = THRESHOLD if divergence <= cfg.lam else None
-        token = plain.argmax()
-        premature_eos = token == vocab.eos and j < n
         step = len(trace) + 1
-
-        if reason is None or (reason == THRESHOLD and premature_eos):
-            # a read; the EOS guard turns a THRESHOLD write of a premature
-            # EOS into one
-            record = {"step": step, "kind": READ, "j": j}
-            if reason is not None:
-                record["reason"] = EOS_DEFERRED
-            record["divergence"] = divergence
-            trace.append(record)
+        forced = EXHAUSTED if j >= n else \
+            RMAX if cfg.r_max is not None and r_c >= cfg.r_max else None
+        if step <= len(shared):
+            record = dict(shared[step - 1])
+            _check_shared(record, step, j, n, forced, cfg)
+            if forced is None and isinstance(suffix_spec, RandomSuffix):
+                _draw(suffix_spec, rng)  # the draw the shared decision took
+        else:
+            plain = model.next_dist(source[:j], hyp)
+            reason, divergence = forced, None
+            if forced is None:
+                suffix = make_suffix(suffix_spec, vocab, rng, full_source=source, j=j)
+                pseudo = model.next_dist(source[:j] + tuple(suffix), hyp)
+                divergence = cosine_divergence(plain, pseudo)
+                reason = THRESHOLD if divergence <= cfg.lam else None
+            token = plain.argmax()
+            premature_eos = token == vocab.eos and j < n
+            if reason is None or (reason == THRESHOLD and premature_eos):
+                # a read; the EOS guard turns a THRESHOLD write of a premature
+                # EOS into one
+                record = {"step": step, "kind": READ, "j": j}
+                if reason is not None:
+                    record["reason"] = EOS_DEFERRED
+                record["divergence"] = divergence
+            else:
+                record = {"step": step, "kind": WRITE, "j": j, "reason": reason}
+                if reason == THRESHOLD:
+                    record["divergence"] = divergence
+                if premature_eos:
+                    # an RMAX write: committing a premature EOS would truncate
+                    # the sentence, and reading would breach the r_max cap, so
+                    # emit the best non-EOS token instead
+                    masked = plain.probs.copy()
+                    masked[vocab.eos] = -1.0
+                    record["token"] = int(np.argmax(masked))
+                    record["swapped_eos"] = True
+                else:
+                    record["token"] = token
+        trace.append(record)
+        if record["kind"] == READ:
             j += 1
             r_c += 1
-            continue
-
-        record = {"step": step, "kind": WRITE, "j": j, "reason": reason}
-        if reason == THRESHOLD:
-            record["divergence"] = divergence
-        if premature_eos:
-            # an RMAX write: committing a premature EOS would truncate the
-            # sentence, and reading would breach the r_max cap, so emit the
-            # best non-EOS token instead
-            masked = plain.probs.copy()
-            masked[vocab.eos] = -1.0
-            record["token"] = int(np.argmax(masked))
-            record["swapped_eos"] = True
         else:
-            record["token"] = token
-        trace.append(record)
-        hyp += (record["token"],)
-        g_record.append(j)
-        r_c = 0
+            hyp += (record["token"],)
+            g_record.append(j)
+            r_c = 0
 
     return SimulationResult(
         hypothesis=hyp,

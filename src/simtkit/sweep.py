@@ -6,9 +6,9 @@ by AL. Each sentence's RNG is ``sentence_rng(seed, sentence index)``, so
 a cell or a sentence re-run on its own agrees byte for byte with the full
 sweep. Two things make a sweep cheaper without changing a result: the probe
 memo answers each distinct query once, and each psfuture cell after a
-suffix's first replays, sentence by sentence, the decisions the previous
-(smaller) lambda already made that a larger lambda cannot change
-(``simulate_sentence``'s ``after``).
+suffix's first gives ``simulate_sentence`` each sentence's run at the
+previous (smaller) lambda as ``after``, whose decision loop takes the
+decisions a larger lambda cannot change from that run instead of querying.
 """
 
 from __future__ import annotations
@@ -95,10 +95,10 @@ def run_sweep(
     one probe memo, so a query asked again by a later decision, sentence or
     cell costs no forward; the memo is dropped on return. A suffix's psfuture
     cells run in the ascending lambda order ``SweepSpec`` requires, and each
-    sentence of a cell gets its run in the cell before as ``after=``, so it
-    copies the decisions that lambda shares with it instead of making them
-    again. Every cell and sentence still goes through ``simulate_sentence``,
-    in cell order, and returns its full trace.
+    sentence of a cell gets its run in the cell before as ``after=``, so its
+    decision loop takes the decisions that lambda shares with it from that
+    run instead of making them again. Every cell and sentence still goes
+    through ``simulate_sentence``, in cell order, and returns its full trace.
     """
     if not pairs:
         raise ConfigError("sweep corpus is empty")
@@ -129,7 +129,8 @@ def run_sweep(
 def _run_cell(model, vocab, pairs, spec, k=None, lam=None, suffix=None,
               after=None) -> tuple[EvalResult, list[SimulationResult]]:
     """The row of one cell and its run of each sentence; ``after`` holds a
-    psfuture cell's runs at the suffix's previous lambda."""
+    psfuture cell's runs at the suffix's previous lambda, and sentence i's
+    run is passed to ``simulate_sentence`` as its ``after``."""
     if k is not None:
         def one(_i, source):
             return simulate_waitk(model, vocab, k, source,

@@ -3,9 +3,10 @@
 Every bad input exits 1 or 2 with one line on stderr and no traceback, and
 writes no output file. Model files are a table and a micro checkpoint cut
 short, missing a key, holding a value of the wrong JSON type, holding a
-NaN or null probability, or holding a number no model may hold (a NaN or
-infinite weight, an integer beyond float64); corpora have line counts that
-differ or an empty line. Out-of-vocabulary tokens are not an error: they map to UNK.
+NaN or null probability, holding a tensor one number short of its shape,
+or holding a number no model may hold (a NaN or infinite weight, an
+integer beyond float64); corpora have line counts that differ or an empty
+line. Out-of-vocabulary tokens are not an error: they map to UNK.
 """
 
 import contextlib
@@ -111,7 +112,8 @@ def bad_model(draw, docs):
     """(kind, text, what): a model file's text with one fault."""
     kind = draw(st.sampled_from(sorted(docs)))
     text = docs[kind]
-    fault = draw(st.sampled_from(["truncated", "deleted key", "wrong type", "bad probability"]))
+    fault = draw(st.sampled_from(["truncated", "deleted key", "wrong type", "bad probability",
+                                  "tensor length"]))
     if fault == "truncated":  # any cut that removes part of the JSON itself
         return kind, text[:draw(st.integers(0, len(text.rstrip()) - 1))], fault
     doc = json.loads(text)
@@ -127,6 +129,10 @@ def bad_model(draw, docs):
                                     if _json_type(v) != _json_type(old)
                                     and not (v is None and path in OPTIONAL)]))
         _parent(doc, path)[path[-1]] = copy.deepcopy(new)
+    elif fault == "tensor length":  # a table file holds no tensors; use the micro file
+        kind, doc = "micro", json.loads(docs["micro"])
+        data = doc["tensors"][draw(st.sampled_from(sorted(doc["tensors"])))]["data"]
+        del data[draw(st.integers(0, len(data) - 1))]
     else:
         if kind == "micro":  # a micro file holds no probabilities; use the table
             kind, doc = "table", json.loads(docs["table"])
@@ -151,6 +157,8 @@ def test_bad_model_file_is_rejected(files, data, command):
         argv, outputs = _commands(paths, model)[command]
         result = _check(argv, outputs, out)
     _assert_rejected(*result)
+    if fault == "tensor length":
+        assert result[2].startswith("simtkit: ModelFileError: tensor '"), result[2]
 
 
 def _one_hot_entry(doc):

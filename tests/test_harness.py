@@ -249,20 +249,24 @@ def test_sweep_cell_independence(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_replaying_a_smaller_lambda_equals_the_solo_run(world, data):
-    """A run given ``after=`` (the same sentence at a smaller lambda) equals
-    the run without it, leaves the generator where it leaves it, and shares
-    no trace record with ``after``."""
+    """A run given ``after=`` (the same sentence at a smaller lambda, under an
+    ``r_max`` and a ``max_target_len`` of its own) equals the run without it,
+    leaves the generator where it leaves it, and shares no trace record with
+    ``after``; or, only when the two ``r_max`` differ, it raises ConfigError
+    before its first forward."""
     vocab, pairs, model = world()
     source = data.draw(st.sampled_from(pairs)).source
     suffix = suffix_from_name(data.draw(st.sampled_from(["eos", "oracle", "random", "unk-eos"])),
                               vocab, random_top_k=6)
-    r_max = data.draw(st.sampled_from([None, 1, 4]))
-    max_target_len = data.draw(st.integers(1, 12))  # below most lengths + 1: truncates
+    # max_target_len below most lengths + 1: truncates
+    limits = st.tuples(st.sampled_from([None, 1, 4]), st.integers(1, 12))
+    r_max, max_target_len = data.draw(limits)
+    after_limits = data.draw(st.just((r_max, max_target_len)) | limits)
     seed = data.draw(st.integers(0, 2**32 - 1))
 
-    def run(lam, after=None):
+    def run(lam, limits=(r_max, max_target_len), after=None, model=model):
         rng = np.random.default_rng(seed)
-        cfg = PolicyConfig(lam=lam, r_max=r_max, max_target_len=max_target_len)
+        cfg = PolicyConfig(lam=lam, r_max=limits[0], max_target_len=limits[1])
         sim = simulate_sentence(model, vocab, cfg, suffix, source, rng=rng, after=after)
         return sim, rng.bit_generator.state
 
@@ -272,14 +276,35 @@ def test_replaying_a_smaller_lambda_equals_the_solo_run(world, data):
                   if rec.get("divergence") is not None})
     lam = st.sampled_from(met) | st.floats(-0.1, 1.1) if met else st.floats(-0.1, 1.1)
     lam_a, lam_b = sorted((data.draw(lam), data.draw(lam)))
-    before, _ = run(lam_a)
+    before, _ = run(lam_a, limits=after_limits)
     kept = copy.deepcopy(before)
     solo, solo_state = run(lam_b)
-    replayed, state = run(lam_b, after=before)
+    counting = CountingModel(model)
+    try:
+        replayed, state = run(lam_b, after=before, model=counting)
+    except ConfigError as exc:
+        assert str(exc).startswith("after= step ") and counting.forwards == 0
+        assert after_limits[0] != r_max
+        return
     assert replayed == solo
     assert state == solo_state
     assert before == kept
     assert not {id(rec) for rec in replayed.trace} & {id(rec) for rec in before.trace}
+
+
+def test_an_after_past_the_length_cap_gives_the_solo_run():
+    """``after`` from a run capped at 12 tokens writes past a cap of 3; the
+    run given it stops at 3 as the solo run does."""
+    vocab, pairs, model = generate_corpus(SyntheticSpec(kind="tail_first", vocab_size=9,
+                                                        n_range=(6, 8), n_pairs=16, seed=5))
+    eos = suffix_from_name("eos", vocab)
+    source = pairs[0].source
+    long = simulate_sentence(model, vocab, PolicyConfig(lam=0.3, max_target_len=12), eos, source)
+    assert len(long.hypothesis) > 3
+    capped = PolicyConfig(lam=0.3, max_target_len=3)
+    solo = simulate_sentence(model, vocab, capped, eos, source)
+    assert len(solo.hypothesis) == 3 and solo.truncated
+    assert simulate_sentence(model, vocab, capped, eos, source, after=long) == solo
 
 
 def test_a_bad_after_is_rejected_before_the_first_forward():
@@ -287,13 +312,18 @@ def test_a_bad_after_is_rejected_before_the_first_forward():
     counting = CountingModel(model)
     source = pairs[0].source
     eos = suffix_from_name("eos", vocab)
-    run_at_1 = simulate_sentence(model, vocab, PolicyConfig(lam=1.0), eos, source)
+    run_at_1 = simulate_sentence(model, vocab, PolicyConfig(lam=1.0, r_max=None), eos, source)
     written = next(rec["step"] for rec in run_at_1.trace
                    if rec.get("reason") in ("THRESHOLD", "EOS_DEFERRED"))
     # a run at a larger lambda
     with pytest.raises(ConfigError, match=rf"^after= step {written}: a (THRESHOLD|EOS_DEFERRED) "
                                           r"decision at divergence .* > lam=-1\.0"):
         simulate_sentence(counting, vocab, PolicyConfig(lam=-1.0), eos, source, after=run_at_1)
+    # an unbounded run, whose first decision is unforced, where r_max=1 forces it
+    with pytest.raises(ConfigError, match=r"^after= step 1: a decision forced by nothing, "
+                                          r"where this run is forced by RMAX \(r_max=1\)"):
+        simulate_sentence(counting, vocab, PolicyConfig(lam=1.0, r_max=1), eos, source,
+                          after=run_at_1)
     # a run from another initial prefix
     with pytest.raises(ConfigError, match=r"^after= step 1: j=2, but the run starts at "
                                           r"min\(initial_prefix, len\(source\)\) j=3$"):
@@ -311,14 +341,18 @@ def test_a_bad_after_is_rejected_before_the_first_forward():
 
 
 @pytest.mark.parametrize("world", [table_world, micro_world])
-@pytest.mark.parametrize("spec", [
-    SweepSpec(policy="psfuture", lambdas=(0.02, 0.1, 0.3), suffixes=("eos", "random", "oracle"),
-              r_max=4, max_target_len=12, seed=3, random_top_k=6),
-    SweepSpec(policy="waitk", ks=(1, 2, 4), max_target_len=12),
-], ids=["psfuture", "waitk"])
-def test_sweep_memo_changes_forwards_not_results(monkeypatch, world, spec):
+@pytest.mark.parametrize("policy", ["psfuture", "waitk"])
+def test_sweep_memo_changes_forwards_not_results(monkeypatch, world, policy):
     vocab, pairs, model = world()
+    suffixes = ("eos", "random", "oracle")
+    if policy == "psfuture":
+        spec = SweepSpec(policy="psfuture", lambdas=CELL_LAMBDAS[world], suffixes=suffixes,
+                         r_max=4, max_target_len=12, seed=3, random_top_k=6)
+    else:
+        spec = SweepSpec(policy="waitk", ks=(1, 2, 4), max_target_len=12)
     rows, sims, forwards = sweep_recorded(monkeypatch, model, vocab, pairs, spec)
+    if policy == "psfuture":  # every suffix's cells differ across lambda
+        assert all(len({r.al for r in rows if r.suffix == suffix}) > 1 for suffix in suffixes)
     want_rows, want_sims, want_forwards = sweep_recorded(monkeypatch, model, vocab, pairs,
                                                          spec, memo=False)
     assert rows == want_rows
@@ -328,9 +362,10 @@ def test_sweep_memo_changes_forwards_not_results(monkeypatch, world, spec):
 
 def test_sweep_memo_does_not_outlive_the_call():
     vocab, pairs, model = micro_world()
-    spec = SweepSpec(policy="psfuture", lambdas=(0.02, 0.1), suffixes=("eos",),
-                     max_target_len=12, seed=1)
+    spec = SweepSpec(policy="psfuture", lambdas=CELL_LAMBDAS[micro_world][:2],
+                     suffixes=("eos",), r_max=4, max_target_len=12, seed=1)
     before = run_sweep(model, vocab, pairs, spec)
+    assert before[0].al != before[1].al  # the cells differ across lambda
     _, grads = model.loss_and_grads([(p.source, p.target, "full") for p in pairs])
     sgd_step(model, grads, lr=5.0)
     after = run_sweep(model, vocab, pairs, spec)
@@ -347,8 +382,9 @@ def test_sentence_cache_reaches_the_model_through_wrappers(monkeypatch, mode):
     changes neither a result nor the number of forwards asked."""
     vocab, pairs, _ = copy_world(n_pairs=5)
     model = MicroModel(vocab, d=8, max_len=16, mode=mode, seed=4)
-    psfuture = SweepSpec(policy="psfuture", lambdas=(0.02, 0.3), suffixes=("eos", "random"),
-                         r_max=4, max_target_len=12, seed=3, random_top_k=6)
+    psfuture = SweepSpec(policy="psfuture", lambdas=CELL_LAMBDAS[micro_world][:2],
+                         suffixes=("eos", "random"), r_max=4, max_target_len=12, seed=3,
+                         random_top_k=6)
     waitk = SweepSpec(policy="waitk", ks=(1, 3), max_target_len=12)
 
     def run():
@@ -371,6 +407,8 @@ def test_sentence_cache_reaches_the_model_through_wrappers(monkeypatch, mode):
     assert len(opened) == 6 * 5 + 5 and all(m is model for m in opened)
     monkeypatch.delattr(MicroModel, "_sentence_cache")
     assert cached == run()
+    # each suffix's cells differ across lambda
+    assert len({(row.suffix, row.al) for row in cached[0][0]}) == 4
 
 
 def test_probe_memo_does_not_store_a_failed_query():
@@ -522,11 +560,12 @@ def test_cli_simulate_replays_the_sweeps_sentence(monkeypatch, tmp_path, capsys,
     sk.write_parallel_corpus(pairs, vocab, src, tgt)
     sk.save_model(model, path)
     model = sk.load_model(path)
-    lambdas = (0.1, 0.3)
+    lambdas = CELL_LAMBDAS[world][1:]
     spec = SweepSpec(policy="psfuture", lambdas=lambdas, suffixes=("random",), r_max=4,
                      max_target_len=12, seed=3, random_top_k=6)
     _, sims, _ = sweep_recorded(monkeypatch, model, vocab, pairs, spec)
     assert len(pairs) >= 4 and len(sims) == len(lambdas) * len(pairs)
+    assert sims[:len(pairs)] != sims[len(pairs):]  # the cells differ across lambda
     capsys.readouterr()
     for cell, lam in enumerate(lambdas):
         for i in range(len(pairs)):
@@ -726,3 +765,10 @@ def test_cli_eval_with_g_records_and_alignment(tmp_path, capsys):
     assert row[4] == "6.0"    # AL = N for offline decoding
     assert row[5] == "100.0"
     assert row[6] == "0.4"
+    # a source file with more lines than the hypotheses is rejected, as is a
+    # g-record file that does not match them
+    src.write_text("a b c d e\na b\n")
+    assert run_cli("eval", "--hyp", str(hyp), "--ref", str(ref), "--src", str(src),
+                   "--g-records", str(g_rec)) == 2
+    assert capsys.readouterr().err == \
+        "simtkit: ValueError: --src is not line-aligned with the corpus\n"

@@ -174,6 +174,8 @@ def test_random_suffix_checked_when_named():
         suffix_from_name("random", vocab)
     with pytest.raises(ConfigError, match="top_k=0 must be >= 1"):
         suffix_from_name("random", vocab, random_top_k=0)
+    with pytest.raises(ConfigError, match="top_k=0 must be >= 1"):
+        RandomSuffix(top_k=0)  # not only when named: make_suffix would draw from none
 
 
 # -- the adaptive loop -----------------------------------------------------------
