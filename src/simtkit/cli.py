@@ -14,7 +14,7 @@ import json
 import sys
 
 from .core import PolicyConfig, load_parallel_corpus, decode_sentence, encode_sentence
-from .metrics import EvalResult, average_lagging, corpus_bleu, hallucination_rate
+from .metrics import EvalResult, MetricError, average_lagging, corpus_bleu, hallucination_rate
 from .micro import MODES, UNIDIRECTIONAL, MicroModel
 from .modelio import load_model, save_model
 from .policy import RandomSuffix, suffix_from_name, simulate_sentence
@@ -324,6 +324,15 @@ def _cmd_divergence(args) -> int:
     return 0
 
 
+def _line_lag(number: int, line: str, n_source: int) -> float:
+    """Average lagging of the g-record on line ``number`` (1-based) of the
+    --g-records file; a bad record fails naming its line."""
+    try:
+        return average_lagging([int(x) for x in line.split()], n_source)
+    except ValueError as exc:  # a MetricError, or a token that is no integer
+        raise MetricError(f"line {number}: {exc}") from None
+
+
 def _cmd_eval(args) -> int:
     hyp_lines = core.read_token_lines(args.hyp)
     ref_lines = core.read_token_lines(args.ref)
@@ -338,11 +347,11 @@ def _cmd_eval(args) -> int:
         if len(src_lines) != len(hyp_lines):
             raise ValueError("--src is not line-aligned with the corpus")
         with open(args.g_records, encoding="utf-8") as fh:
-            g_lines = [[int(x) for x in line.split()] for line in fh.read().splitlines()]
+            g_lines = fh.read().splitlines()
         if len(g_lines) != len(hyp_lines):
             raise ValueError("--g-records is not line-aligned with the corpus")
-        lags = [average_lagging(g, len(src) + 1)  # +1: EOS is part of N
-                for g, src in zip(g_lines, src_lines)]
+        lags = [_line_lag(number, line, len(src) + 1)  # +1: EOS is part of N
+                for number, (line, src) in enumerate(zip(g_lines, src_lines), start=1)]
         al = repr(sum(lags) / len(lags))
     hr = ""
     if args.hyp_align:

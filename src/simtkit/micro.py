@@ -17,21 +17,38 @@ position may see; they are a training input only, the engine of
 prefix-to-prefix (multipath wait-k) training. Inference reads the source
 prefix it is given whole.
 
-Every forward runs three stages: (1) ``_encode`` turns the source into the
-cross-attention keys and values, (2) ``_decode_prefix`` runs the causal
-self-attention over BOS + target prefix, and (3) ``_head`` applies
-cross-attention under the limits, the feed-forward block and the output
-projection. Stage 1 reads only the source and stage 2 only the target
-prefix.
+Every forward runs three stages: (1) the encoder turns the source into the
+cross-attention keys and values, (2) the decoder's causal self-attention
+runs over BOS + target prefix, and (3) the head applies cross-attention,
+the feed-forward block and the output projection. Stage 1 reads only the
+source and stage 2 only the target prefix.
 
-Inference runs the stages on one query. Inside ``_sentence_cache``, which
-the policy code opens around each sentence, ``next_dist`` runs each stage
-once per distinct source or target prefix; the two probes of a PsFuture
-decision then share stage 2, and the rows of a divergence matrix share
-stage 1. No parameter changes inside one sentence, so a shared stage equals
-a fresh one bit for bit. The cache spans a sentence, not a sweep: it then
-holds one sentence's stages, while a sweep-wide cache grows the peak
-resident set with the corpus.
+Inference (``next_dist``) runs the stages incrementally, as STACL (Ma et
+al. 2019) and efficient wait-k (Elbayad et al. 2020) do. Stage 2 adds the
+decoder rows one at a time, each on the stored self-attention keys and
+values of the rows before it, so a row's arithmetic does not depend on
+what was stored before; stage 3 runs on the last row only. Inside
+``_sentence_cache``, which the policy code opens around each sentence, each
+distinct source and target prefix runs its stage once: the two probes of a
+PsFuture decision share stage 2, and the rows of a divergence matrix share
+stage 1. For a UNIDIRECTIONAL model the cache encodes the sentence's full
+source once. A prefix of it reads its first rows, and any other source (a
+prefix plus a pseudo-future) encodes, in one call, only the rows after the
+longest prefix it shares with the sentence. So an answer depends on one
+thing besides the query and the parameters: a UNIDIRECTIONAL prefix's
+encoder rows come from its sentence's full-source encoding. A query
+outside a cache encodes its own source, and answers bit for bit as inside a
+cache opened without a source. A repeated query in one cache gives
+identical bytes.
+
+Every answer is within 1e-12 (max abs per probability) of the from-scratch
+per-query arithmetic, which runs every stage over all rows of the whole
+query (``tests/pair_oracle.py``; at most 3.8e-15 measured on the bench
+checkpoints). It is not bit for bit: numpy may round a product over a
+slice or a single row differently from the same rows of a product over the
+whole block. No parameter may change inside one cache. The cache spans a
+sentence, not a sweep: it then holds one sentence's stages, while a
+sweep-wide cache grows the peak resident set with the corpus.
 
 Training runs the same stages once per batch, on (B, len, d) arrays padded
 to the batch's longest source and target, followed by one backward pass.
@@ -105,19 +122,19 @@ class MicroModel:
             params = {name: np.asarray(p, dtype=np.float64) for name, p in params.items()}
         self.params = params
         self._tri = np.tri(max_len, dtype=bool)  # sliced into every causal mask
-        self._stages = None  # (stage 1, stage 2) stores while a sentence cache is open
+        self._stages = None  # _new_stages(...) while a sentence cache is open
 
     # -- forward: three stages (see the module docstring) -----------------
 
-    def _encode(self, src, lengths=None):
-        """Stage 1: the cross-attention keys and values of the encoded
-        source, then the encoder output and its backward cache. ``src`` is
-        one source, or a padded (B, S) batch whose rows hold ``lengths``
-        tokens; no position then attends to a padded one."""
+    def _encode(self, src, lengths):
+        """Stage 1 of a training batch: the cross-attention keys and values
+        of the encoded sources, then the encoder output and its backward
+        cache. ``src`` is a padded (B, S) batch whose rows hold ``lengths``
+        tokens; no position attends to a padded one."""
         ids = np.asarray(src)
         s = ids.shape[-1]
         allowed = self._tri[:s, :s] if self.mode == UNIDIRECTIONAL else None
-        if lengths is not None and (lengths < s).any():
+        if (lengths < s).any():
             keys = (np.arange(s) < lengths[:, None])[:, None, :]
             allowed = keys if allowed is None else keys & allowed
         henc, enc_cache = self._embed_and_attend(ids, "enc", allowed)
@@ -127,8 +144,8 @@ class MicroModel:
         return (henc @ p["dec_cross_k"], henc @ p["dec_cross_v"]), (henc, enc_cache)
 
     def _decode_prefix(self, tgt_in):
-        """Stage 2: the causal self-attention output of the decoder input
-        ``tgt_in`` (BOS + target prefix, or a padded batch of them), then its
+        """Stage 2 of a training batch: the causal self-attention output of
+        the padded decoder inputs ``tgt_in`` (BOS + target prefix), then its
         backward cache. Causality alone keeps a row off the padding after
         it."""
         ids = np.asarray(tgt_in)
@@ -145,8 +162,9 @@ class MicroModel:
         return out, (x0, x0, k, v, *parts)
 
     def _head(self, y1, cross_kv, cross_allowed):
-        """Stage 3: cross-attention under the limits, the feed-forward block
-        and the output projection; the logits, then the backward cache."""
+        """Stage 3, of a training batch or of one inference row:
+        cross-attention under the limits, the feed-forward block and the
+        output projection; the logits, then the backward cache."""
         p = self.params
         y2, cross_parts = _attn_forward(y1, *cross_kv, p, "dec_cross", cross_allowed)
         relu = y2 @ p["ff_w1"]
@@ -159,30 +177,88 @@ class MicroModel:
         return logits, (cross_parts, y2, relu, y3)
 
     @contextmanager
-    def _sentence_cache(self):
+    def _sentence_cache(self, source=None):
         """Share stages 1 and 2 among the ``next_dist`` queries of the block.
 
         Inside the block a stage runs once per distinct source (stage 1) or
-        decoder input (stage 2). The parameters must not change meanwhile;
-        then a stored stage equals a fresh one bit for bit. The owner of one
-        sentence's queries opens it, so it holds one sentence's stages.
-        Opening starts empty stores and exit drops them.
+        decoder input (stage 2). For a UNIDIRECTIONAL model, ``source`` is
+        the sentence whose full encoding serves its prefixes and the shared
+        prefix of every other source; without it each source encodes its
+        own rows, as outside a cache. The parameters must not change
+        meanwhile. The owner of one sentence's queries opens it, so it holds
+        one sentence's stages. Opening starts empty stores and exit drops
+        them.
         """
-        self._stages = ({}, {})
+        self._stages = self._new_stages(source)
         try:
             yield
         finally:
             self._stages = None
 
-    def _stage(self, which: int, key: tuple[int, ...], run):
-        """``run(key)``'s first result, stored in the open sentence cache."""
-        if self._stages is None:
-            return run(key)[0]
-        store = self._stages[which]
-        out = store.get(key)
-        if out is None:
-            out = store[key] = run(key)[0]
-        return out
+    def _new_stages(self, source):
+        """Empty stores of stages 1 and 2, and the sentence whose encoding
+        a UNIDIRECTIONAL model's sources share (None: each its own). A
+        caller that skips the policy's length checks (a wrapper that
+        declares no ``max_len``) may pass a sentence longer than
+        ``max_len``; a causal encoder's first ``max_len`` rows do not read
+        the rest, so the sentence keeps its first ``max_len`` tokens."""
+        uni = source is not None and self.mode == UNIDIRECTIONAL
+        return {}, {}, tuple(source)[:self.max_len] if uni else None
+
+    def _source_rows(self, stages, src: tuple[int, ...]):
+        """Stage 1 of a query, stored in ``stages``: the encoder's
+        self-attention keys and values and the cross-attention keys and
+        values of every position of ``src``. The positions ``src`` shares
+        with the sentence come from the sentence's encoding; the rest are
+        encoded in one call."""
+        sources, _, sentence = stages
+        rows = sources.get(src)
+        if rows is None:
+            shared = 0
+            if sentence is not None and src != sentence:
+                for mine, theirs in zip(src, sentence):
+                    if mine != theirs:
+                        break
+                    shared += 1
+            before = tuple(a[:shared] for a in self._source_rows(stages, sentence)) \
+                if shared else (np.empty((0, self.d)),) * 4
+            rows = before if shared == len(src) else self._encode_rows(src, before)
+            sources[src] = rows
+        return rows
+
+    def _encode_rows(self, src: tuple[int, ...], before):
+        """The (encoder k, encoder v, cross k, cross v) rows of every
+        position of ``src``, given ``before``, those of its first positions:
+        the encoder attends from each later position to the keys of both."""
+        p = self.params
+        start, end = len(before[0]), len(src)
+        x0 = p["embed"][np.asarray(src[start:])] + p["pos"][start:end]
+        k = np.concatenate((before[0], x0 @ p["enc_k"]))
+        v = np.concatenate((before[1], x0 @ p["enc_v"]))
+        allowed = self._tri[start:end, :end] if self.mode == UNIDIRECTIONAL else None
+        henc = _attn_forward(x0, k, v, p, "enc", allowed)[0]
+        if not np.isfinite(henc).all():
+            raise NumericError("non-finite values in encoder output")
+        return (k, v, np.concatenate((before[2], henc @ p["dec_cross_k"])),
+                np.concatenate((before[3], henc @ p["dec_cross_v"])))
+
+    def _decoder_row(self, stages, tgt_in: tuple[int, ...]):
+        """Stage 2 of a query, stored in ``stages``: the decoder's
+        self-attention keys and values of every row of ``tgt_in`` and the
+        self-attention output of its last row. The last row is computed
+        alone, on the stored rows of ``tgt_in[:-1]``."""
+        prefixes = stages[1]
+        rows = prefixes.get(tgt_in)
+        if rows is None:
+            r = len(tgt_in) - 1
+            k, v, _ = self._decoder_row(stages, tgt_in[:-1]) if r else \
+                (np.empty((0, self.d)),) * 3
+            p = self.params
+            x0 = p["embed"][tgt_in[-1]] + p["pos"][r]
+            k = np.concatenate((k, (x0 @ p["dec_self_k"])[None]))
+            v = np.concatenate((v, (x0 @ p["dec_self_v"])[None]))
+            rows = prefixes[tgt_in] = (k, v, _attn_forward(x0, k, v, p, "dec_self", None)[0])
+        return rows
 
     def _check_query(self, src: tuple[int, ...], rows: int, limits="full"):
         """Check a query of source ``src`` and ``rows`` decoder rows, and
@@ -292,18 +368,18 @@ class MicroModel:
     def next_dist(self, source_prefix, target_prefix) -> Distribution:
         """Distribution of the next target token.
 
-        The decoder input is BOS followed by ``target_prefix``, and every
-        decoder row sees the whole ``source_prefix``; only the last row's
-        prediction is returned. Stages 1 and 2 come from the open sentence
-        cache when it holds them.
+        The decoder input is BOS followed by ``target_prefix``, and its last
+        row sees the whole ``source_prefix``; stage 3 runs for that row
+        only. Stages 1 and 2 come from the open sentence cache, or from
+        stores of this query alone.
         """
         src = tuple(source_prefix)
         tgt_in = (self.vocab.bos,) + tuple(target_prefix)
         self._check_query(src, len(tgt_in))
-        cross_kv = self._stage(0, src, self._encode)
-        y1 = self._stage(1, tgt_in, self._decode_prefix)
-        logits = self._head(y1, cross_kv, None)[0]
-        return Distribution(_softmax_rows(logits[-1]))
+        stages = self._stages if self._stages is not None else self._new_stages(None)
+        cross_kv = self._source_rows(stages, src)[2:]
+        y1 = self._decoder_row(stages, tgt_in)[2]
+        return Distribution(_softmax_rows(self._head(y1, cross_kv, None)[0]))
 
     def loss_and_grads(self, batch) -> tuple[float, dict[str, np.ndarray]]:
         """Mean token NLL over a batch plus exact gradients, from one padded

@@ -23,7 +23,6 @@ purpose of guaranteeing progress.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -201,10 +200,13 @@ def _check_lengths(model, source, suffixes=(), max_target_len=None, target=None,
 class _ProbeMemo:
     """A model whose ``next_dist`` answers each distinct query once.
 
-    ``next_dist`` is a pure function of the model's parameters and the query,
-    so a stored answer equals a fresh forward bit for bit while the
-    parameters stay unchanged. An owner therefore keeps a memo no longer
-    than one call that does not train (``run_sweep``, ``divergence_matrix``).
+    While the parameters stay unchanged, a stored answer equals a fresh
+    forward of the same query within 1e-12, and bit for bit in the sentence
+    cache that computed it: a UNIDIRECTIONAL micro model reads a prefix's
+    encoder rows from its sentence's encoding, so a memo that spans
+    sentences may hand one sentence an answer computed in another's cache.
+    An owner therefore keeps a memo no longer than one call that does not
+    train (``run_sweep``, ``divergence_matrix``).
     The stored ``Distribution`` is shared; its array is read-only. A query
     that raises stores nothing.
     """
@@ -226,21 +228,19 @@ class _ProbeMemo:
         return getattr(self.model, name)  # e.g. the model's sentence cache
 
 
-def _one_sentence(run):
-    """Run ``run(model, ...)`` inside the model's sentence cache, when the
-    model has one (``MicroModel._sentence_cache``; a wrapper that passes
-    other attributes through reaches it too).
+def _one_sentence(model, source):
+    """The model's sentence cache opened on ``source``, or a block that does
+    nothing when the model has none (``MicroModel._sentence_cache``; a
+    wrapper that passes other attributes through reaches it too).
 
-    ``run`` asks the queries of one sentence and changes no parameter, so the
-    stages the cache shares equal fresh ones bit for bit; the cache is dropped
-    when ``run`` returns or raises.
+    The owner of one sentence's queries opens it around them and changes no
+    parameter inside it; the cache is dropped when the block ends or raises.
+    A UNIDIRECTIONAL micro model reads the encoder rows of every prefix of
+    ``source`` from one encoding of it, within 1e-12 of encoding the prefix
+    alone (see the ``micro`` module).
     """
-    @functools.wraps(run)
-    def in_cache(model, *args, **kwargs):
-        open_cache = getattr(model, "_sentence_cache", None)
-        with open_cache() if open_cache is not None else contextlib.nullcontext():
-            return run(model, *args, **kwargs)
-    return in_cache
+    open_cache = getattr(model, "_sentence_cache", None)
+    return open_cache(source) if open_cache is not None else contextlib.nullcontext()
 
 
 def psfuture_divergence(model, source_prefix, target_prefix, suffix) -> float:
@@ -292,7 +292,6 @@ def _check_shared(rec: dict, step: int, j: int, n: int, forced: str | None,
                           f"from a run at a larger lambda")
 
 
-@_one_sentence
 def simulate_sentence(
     model,
     vocab: Vocabulary,
@@ -338,57 +337,58 @@ def simulate_sentence(
     trace: list[dict] = []
     truncated = False
 
-    while not hyp or hyp[-1] != vocab.eos:
-        if len(hyp) >= cfg.max_target_len:
-            truncated = True
-            break
-        step = len(trace) + 1
-        forced = EXHAUSTED if j >= n else \
-            RMAX if cfg.r_max is not None and r_c >= cfg.r_max else None
-        if step <= len(shared):
-            record = dict(shared[step - 1])
-            _check_shared(record, step, j, n, forced, cfg)
-            if forced is None and isinstance(suffix_spec, RandomSuffix):
-                _draw(suffix_spec, rng)  # the draw the shared decision took
-        else:
-            plain = model.next_dist(source[:j], hyp)
-            reason, divergence = forced, None
-            if forced is None:
-                suffix = make_suffix(suffix_spec, vocab, rng, full_source=source, j=j)
-                pseudo = model.next_dist(source[:j] + tuple(suffix), hyp)
-                divergence = cosine_divergence(plain, pseudo)
-                reason = THRESHOLD if divergence <= cfg.lam else None
-            token = plain.argmax()
-            premature_eos = token == vocab.eos and j < n
-            if reason is None or (reason == THRESHOLD and premature_eos):
-                # a read; the EOS guard turns a THRESHOLD write of a premature
-                # EOS into one
-                record = {"step": step, "kind": READ, "j": j}
-                if reason is not None:
-                    record["reason"] = EOS_DEFERRED
-                record["divergence"] = divergence
+    with _one_sentence(model, source):
+        while not hyp or hyp[-1] != vocab.eos:
+            if len(hyp) >= cfg.max_target_len:
+                truncated = True
+                break
+            step = len(trace) + 1
+            forced = EXHAUSTED if j >= n else \
+                RMAX if cfg.r_max is not None and r_c >= cfg.r_max else None
+            if step <= len(shared):
+                record = dict(shared[step - 1])
+                _check_shared(record, step, j, n, forced, cfg)
+                if forced is None and isinstance(suffix_spec, RandomSuffix):
+                    _draw(suffix_spec, rng)  # the draw the shared decision took
             else:
-                record = {"step": step, "kind": WRITE, "j": j, "reason": reason}
-                if reason == THRESHOLD:
+                plain = model.next_dist(source[:j], hyp)
+                reason, divergence = forced, None
+                if forced is None:
+                    suffix = make_suffix(suffix_spec, vocab, rng, full_source=source, j=j)
+                    pseudo = model.next_dist(source[:j] + tuple(suffix), hyp)
+                    divergence = cosine_divergence(plain, pseudo)
+                    reason = THRESHOLD if divergence <= cfg.lam else None
+                token = plain.argmax()
+                premature_eos = token == vocab.eos and j < n
+                if reason is None or (reason == THRESHOLD and premature_eos):
+                    # a read; the EOS guard turns a THRESHOLD write of a premature
+                    # EOS into one
+                    record = {"step": step, "kind": READ, "j": j}
+                    if reason is not None:
+                        record["reason"] = EOS_DEFERRED
                     record["divergence"] = divergence
-                if premature_eos:
-                    # an RMAX write: committing a premature EOS would truncate
-                    # the sentence, and reading would breach the r_max cap, so
-                    # emit the best non-EOS token instead
-                    masked = plain.probs.copy()
-                    masked[vocab.eos] = -1.0
-                    record["token"] = int(np.argmax(masked))
-                    record["swapped_eos"] = True
                 else:
-                    record["token"] = token
-        trace.append(record)
-        if record["kind"] == READ:
-            j += 1
-            r_c += 1
-        else:
-            hyp += (record["token"],)
-            g_record.append(j)
-            r_c = 0
+                    record = {"step": step, "kind": WRITE, "j": j, "reason": reason}
+                    if reason == THRESHOLD:
+                        record["divergence"] = divergence
+                    if premature_eos:
+                        # an RMAX write: committing a premature EOS would truncate
+                        # the sentence, and reading would breach the r_max cap, so
+                        # emit the best non-EOS token instead
+                        masked = plain.probs.copy()
+                        masked[vocab.eos] = -1.0
+                        record["token"] = int(np.argmax(masked))
+                        record["swapped_eos"] = True
+                    else:
+                        record["token"] = token
+            trace.append(record)
+            if record["kind"] == READ:
+                j += 1
+                r_c += 1
+            else:
+                hyp += (record["token"],)
+                g_record.append(j)
+                r_c = 0
 
     return SimulationResult(
         hypothesis=hyp,
@@ -409,7 +409,6 @@ def waitk_g(t: int, k: int, n: int) -> int:
     return min(t + k - 1, n)
 
 
-@_one_sentence
 def simulate_waitk(
     model,
     vocab: Vocabulary,
@@ -425,15 +424,16 @@ def simulate_waitk(
     n = len(source)
     hyp: list[int] = []
     g_rec: list[int] = []
-    while len(hyp) < max_target_len:
-        t = len(hyp) + 1
-        g = waitk_g(t, k, n)
-        dist = model.next_dist(source[:g], tuple(hyp))
-        token = dist.argmax()
-        hyp.append(token)
-        g_rec.append(g)
-        if token == vocab.eos:
-            break
+    with _one_sentence(model, source):
+        while len(hyp) < max_target_len:
+            t = len(hyp) + 1
+            g = waitk_g(t, k, n)
+            dist = model.next_dist(source[:g], tuple(hyp))
+            token = dist.argmax()
+            hyp.append(token)
+            g_rec.append(g)
+            if token == vocab.eos:
+                break
     truncated = not hyp or hyp[-1] != vocab.eos
     return SimulationResult(tuple(hyp), tuple(g_rec), [], truncated)
 
@@ -453,7 +453,6 @@ class DivergenceMatrix:
             raise ValueError("divergence entries must lie in [0, 1]")
 
 
-@_one_sentence
 def divergence_matrix(
     model,
     vocab: Vocabulary,
@@ -475,16 +474,17 @@ def divergence_matrix(
     n = len(pair.source)
     t_len = len(pair.target)
     values = np.zeros((t_len, n))
-    for ti in range(t_len):
-        tgt_prefix = pair.target[:ti]
-        for g in range(1, n + 1):
-            if isinstance(suffix_spec, OracleSuffix) and g == n:
-                values[ti, g - 1] = 0.0
-                continue
-            suffix = make_suffix(suffix_spec, vocab, rng,
-                                 full_source=pair.source, j=g)
-            values[ti, g - 1] = psfuture_divergence(
-                model, pair.source[:g], tgt_prefix, suffix)
+    with _one_sentence(model, pair.source):
+        for ti in range(t_len):
+            tgt_prefix = pair.target[:ti]
+            for g in range(1, n + 1):
+                if isinstance(suffix_spec, OracleSuffix) and g == n:
+                    values[ti, g - 1] = 0.0
+                    continue
+                suffix = make_suffix(suffix_spec, vocab, rng,
+                                     full_source=pair.source, j=g)
+                values[ti, g - 1] = psfuture_divergence(
+                    model, pair.source[:g], tgt_prefix, suffix)
     return DivergenceMatrix(values=values)
 
 

@@ -375,11 +375,28 @@ def test_sweep_memo_does_not_outlive_the_call():
     assert after != before
 
 
+def assert_equal_but_divergences_within_1e12(sims, want_sims):
+    """(hypothesis, g-record, trace, truncated) runs that agree in every
+    field, except that a divergence may differ by at most 1e-12."""
+    for (hyp, g_record, trace, truncated), want in zip(sims, want_sims, strict=True):
+        assert (hyp, g_record, truncated) == (want[0], want[1], want[3])
+        assert len(trace) == len(want[2])
+        for rec, want_rec in zip(trace, want[2]):
+            rec, want_rec = dict(rec), dict(want_rec)
+            got_div, want_div = rec.pop("divergence", None), want_rec.pop("divergence", None)
+            assert rec == want_rec
+            assert (got_div is None) == (want_div is None)
+            assert got_div is None or abs(got_div - want_div) <= 1e-12
+
+
 @pytest.mark.parametrize("mode", [BIDIRECTIONAL, UNIDIRECTIONAL])
 def test_sentence_cache_reaches_the_model_through_wrappers(monkeypatch, mode):
-    """Sweeps and divergence matrices open one sentence cache per sentence on
-    the model behind the counting wrapper and the sweep's probe memo; it
-    changes neither a result nor the number of forwards asked."""
+    """Sweeps and divergence matrices open one sentence cache per sentence,
+    on its source, on the model behind the counting wrapper and the sweep's
+    probe memo. It changes no result and not the number of forwards asked,
+    except that a UNIDIRECTIONAL divergence may move by at most 1e-12: a
+    prefix then reads its sentence's full-source encoding. A BIDIRECTIONAL
+    source is encoded whole either way, so its results keep every bit."""
     vocab, pairs, _ = copy_world(n_pairs=5)
     model = MicroModel(vocab, d=8, max_len=16, mode=mode, seed=4)
     psfuture = SweepSpec(policy="psfuture", lambdas=CELL_LAMBDAS[micro_world][:2],
@@ -388,27 +405,39 @@ def test_sentence_cache_reaches_the_model_through_wrappers(monkeypatch, mode):
     waitk = SweepSpec(policy="waitk", ks=(1, 3), max_target_len=12)
 
     def run():
+        sweeps = [sweep_recorded(monkeypatch, model, vocab, pairs, spec)
+                  for spec in (psfuture, waitk)]
         counting = CountingModel(model)
-        rows = [run_sweep(counting, vocab, pairs, spec) for spec in (psfuture, waitk)]
         matrices = [divergence_matrix(counting, vocab, pair, suffix_from_name("eos", vocab))
-                    .values.tobytes() for pair in pairs]
-        return rows, matrices, counting.forwards
+                    .values for pair in pairs]
+        return sweeps, matrices, counting.forwards
 
     opened = []
     open_cache = MicroModel._sentence_cache
 
-    def recorded(self):
-        opened.append(self)
-        return open_cache(self)
+    def recorded(self, source=None):
+        opened.append((self, source))
+        return open_cache(self, source)
 
     monkeypatch.setattr(MicroModel, "_sentence_cache", recorded)
     cached = run()
     # 4 psfuture and 2 wait-k cells of 5 sentences, then 5 matrices
-    assert len(opened) == 6 * 5 + 5 and all(m is model for m in opened)
+    sources = [pair.source for pair in pairs]
+    assert opened == [(model, source) for source in sources * 6 + sources]
     monkeypatch.delattr(MicroModel, "_sentence_cache")
-    assert cached == run()
+    alone = run()
+    assert cached[2] == alone[2]
+    if mode == BIDIRECTIONAL:
+        assert cached[0] == alone[0]
+        assert [m.tobytes() for m in cached[1]] == [m.tobytes() for m in alone[1]]
+    else:
+        for (rows, sims, forwards), want in zip(cached[0], alone[0], strict=True):
+            assert (rows, forwards) == (want[0], want[2])
+            assert_equal_but_divergences_within_1e12(sims, want[1])
+        for got, want in zip(cached[1], alone[1], strict=True):
+            assert np.abs(got - want).max() <= 1e-12
     # each suffix's cells differ across lambda
-    assert len({(row.suffix, row.al) for row in cached[0][0]}) == 4
+    assert len({(row.suffix, row.al) for row in cached[0][0][0]}) == 4
 
 
 def test_probe_memo_does_not_store_a_failed_query():
@@ -580,6 +609,27 @@ def test_cli_simulate_replays_the_sweeps_sentence(monkeypatch, tmp_path, capsys,
             assert summary["g_record"] == list(g_record)
 
 
+def test_a_unidirectional_sentence_re_run_alone_keeps_the_sweeps_decisions(monkeypatch):
+    """The sweep's probe memo answers a query two sentences ask from the
+    first asker's sentence cache, and a UNIDIRECTIONAL micro model reads a
+    prefix's encoder rows from its sentence's full-source encoding. These
+    two sources share the prefix 9 4 9, so the second one's early queries
+    are answered from the first one's cache; re-run alone, it keeps every
+    decision, token and g-record, and each divergence within 1e-12."""
+    model = sk.load_model(FIXTURES / "multipath_uni.json")
+    vocab = model.vocab
+    pairs = [SentencePair(s, s) for s in ((9, 4, 9, 1), (9, 4, 9, 7, 9, 5, 1))]
+    spec = SweepSpec(policy="psfuture", lambdas=(0.03,), suffixes=("eos",), r_max=4,
+                     max_target_len=12, seed=3)
+    _, sims, forwards = sweep_recorded(monkeypatch, model, vocab, pairs, spec)
+    counting = CountingModel(model)
+    alone = [simulate_sentence(counting, vocab, spec.policy_config(0.03),
+                               suffix_from_name("eos", vocab), pair.source) for pair in pairs]
+    assert forwards < counting.forwards  # the sweep shared some of the queries
+    assert_equal_but_divergences_within_1e12(
+        sims, [(s.hypothesis, s.g_record, s.trace, s.truncated) for s in alone])
+
+
 # sha256 of a small tail-first table sweep and of one simulate trace: a change
 # to the table lookup, Distribution, the decision loop or the metrics that moves
 # any output byte shows here. Most of these queries leave the table's contexts,
@@ -615,9 +665,12 @@ def test_table_sweep_and_trace_bytes_are_pinned(tmp_path, capsys):
 # sha256 of a small micro sweep, one micro simulate trace and one divergence
 # report on the checked-in bench checkpoints: a change to the micro forward,
 # its sentence cache or the query checks that moves any output byte shows here.
+# The trace and the report were re-recorded for the incremental inference
+# arithmetic: every record's kind, cursor, token and reason and the report's
+# write path stayed equal, and each divergence moved by at most 6.7e-16.
 MICRO_SWEEP_CSV_SHA256 = "a894096b73132a99c73d9c94872343e27b8241c38d2363c8a327c74c0f5712fe"
-MICRO_TRACE_SHA256 = "7cbaf00ac283d0ece530b4d26cd2caba89920916d46f52fa9d78bfe7e78b28a2"
-MICRO_DIVERGENCE_SHA256 = "ad9538802255b017288cbefe66053f529cd94679d2b7ab521292346aae79a3dd"
+MICRO_TRACE_SHA256 = "cd6c15d66d45360644b52998877c5ca47bbddc4f57651445aca5e65c424c85a2"
+MICRO_DIVERGENCE_SHA256 = "08009039b3be5f92465eb3214cb0c153bd4ca579913e1b0247331ef6d5190d25"
 
 
 def test_micro_sweep_trace_and_divergence_bytes_are_pinned(tmp_path, capsys):
@@ -772,3 +825,18 @@ def test_cli_eval_with_g_records_and_alignment(tmp_path, capsys):
                    "--g-records", str(g_rec)) == 2
     assert capsys.readouterr().err == \
         "simtkit: ValueError: --src is not line-aligned with the corpus\n"
+
+
+@pytest.mark.parametrize("g_records, message", [
+    ("1 2 3\n9 9 9\n", "MetricError: line 2: g value 9 outside [1, 3]"),
+    ("1 2 3\n1 x 3\n", "MetricError: line 2: invalid literal for int() with base 10: 'x'"),
+    ("3 2 3\n1 2 3\n", "MetricError: line 1: g_record is not monotone non-decreasing"),
+], ids=["out-of-range", "non-integer", "not-monotone"])
+def test_cli_eval_names_the_line_of_a_bad_g_record(tmp_path, capsys, g_records, message):
+    hyp, ref, src, g_rec = (tmp_path / name for name in ("h.txt", "r.txt", "s.txt", "g.txt"))
+    for path in (hyp, ref, src):
+        path.write_text("a b\na b\n")  # N = 2 content + EOS = 3
+    g_rec.write_text(g_records)
+    assert run_cli("eval", "--hyp", str(hyp), "--ref", str(ref), "--src", str(src),
+                   "--g-records", str(g_rec)) == 2
+    assert capsys.readouterr().err == f"simtkit: {message}\n"

@@ -77,6 +77,45 @@ def test_sentence_cache_answers_bitwise_as_without_it(mode, queries):
     assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
 
 
+@st.composite
+def sentence_runs(draw):
+    """A sentence and the queries a run over it asks, in order: plain
+    prefixes and prefixes plus an ``eos``, ``oracle`` or random suffix (one
+    that may start with the source's next token), a source that shares no
+    prefix with the sentence, and a hypothesis that grows by one token."""
+    token = st.integers(3, 6)
+    source = tuple(draw(st.lists(token, min_size=1, max_size=7))) + (1,)  # EOS last
+    n, hyp, queries = len(source), (), []
+    for _ in range(draw(st.integers(1, 12))):
+        j = draw(st.integers(1, n))
+        kind = draw(st.sampled_from(["plain", "eos", "oracle", "random", "next", "unrelated"]))
+        random = tuple(draw(st.lists(token, min_size=1, max_size=3)))
+        src = {"plain": source[:j], "eos": source[:j] + (1,), "oracle": source,
+               "random": source[:j] + random, "next": source[:min(j + 1, n)] + random,
+               "unrelated": (source[0] % 6 + 3,) + random}[kind]
+        queries.append((src, hyp))
+        if len(hyp) < 10 and draw(st.booleans()):
+            hyp += (draw(token),)
+    return source, queries
+
+
+@pytest.mark.parametrize("mode", sorted(CACHE_MODELS))
+@settings(max_examples=60, deadline=None)
+@given(run=sentence_runs())
+def test_a_sentence_cache_answers_a_run_within_1e12_of_the_oracle(mode, run):
+    """The queries of a run, in a cache opened on its sentence, are within
+    1e-12 of the from-scratch arithmetic; asked again in the same cache, in
+    reverse order, they give the same bytes."""
+    model = CACHE_MODELS[mode]
+    source, queries = run
+    with model._sentence_cache(source):
+        got = [model.next_dist(*query).probs for query in queries]
+        again = [model.next_dist(*query).probs for query in reversed(queries)][::-1]
+    for probs, query in zip(got, queries):
+        assert np.abs(probs - pair_oracle.next_dist(model, *query)).max() <= 1e-12
+    assert [p.tobytes() for p in again] == [p.tobytes() for p in got]
+
+
 def test_sentence_cache_is_dropped_on_exit():
     m = small_model(mode=UNIDIRECTIONAL)
     with m._sentence_cache():
@@ -374,15 +413,25 @@ def test_padded_rows_see_nothing_beyond_their_limits_or_their_pair():
 
 @pytest.mark.parametrize("name", ["multipath_uni.json", "p2f_bi.json"])
 def test_next_dist_keeps_the_single_query_arithmetic_on_the_bench_fixtures(name):
+    """Within 1e-12 of the from-scratch arithmetic of ``pair_oracle``, alone
+    and in a sentence cache opened on a source each query shares some (or
+    no) prefix with."""
     model = load_model(FIXTURES / name)
     rng = np.random.default_rng(2)
-    queries = []
-    for _ in range(150):
-        n = int(rng.integers(1, 13))
-        src = tuple(int(x) for x in rng.integers(1, len(model.vocab), n))
-        tgt = tuple(int(x) for x in rng.integers(1, len(model.vocab), int(rng.integers(0, 12))))
-        queries.append((src, tgt))
-    want = [pair_oracle.next_dist(model, *q).tobytes() for q in queries]
-    assert [model.next_dist(*q).probs.tobytes() for q in queries] == want
-    with model._sentence_cache():
-        assert [model.next_dist(*q).probs.tobytes() for q in queries] == want
+
+    def tokens(n):
+        return tuple(int(x) for x in rng.integers(1, len(model.vocab), n))
+
+    for _ in range(10):
+        sentence = tokens(int(rng.integers(1, 13)))
+        queries = []
+        for _ in range(15):
+            shared = int(rng.integers(0, len(sentence) + 1))
+            src = sentence[:shared] + tokens(int(rng.integers(shared == 0, 13 - shared)))
+            queries.append((src, tokens(int(rng.integers(0, 12)))))
+        want = [pair_oracle.next_dist(model, *q) for q in queries]
+        alone = [model.next_dist(*q).probs for q in queries]
+        with model._sentence_cache(sentence):
+            cached = [model.next_dist(*q).probs for q in queries]
+        for got in (alone, cached):
+            assert max(np.abs(g - w).max() for g, w in zip(got, want)) <= 1e-12
