@@ -263,15 +263,17 @@ def _cmd_simulate(args) -> int:
     model = load_model(args.model)
     vocab = model.vocab
     if args.sentence is not None:  # sentence 0 of a one-line corpus
-        lines = [args.sentence.split()]
+        lines, index = [args.sentence.split()], 0
         tokens, rng = lines[0], sentence_rng(args.seed, 0)
     elif args.src:
-        lines = core.read_token_lines(args.src)
+        lines, index = core.read_token_lines(args.src), args.index
         tokens, rng = _pick(args, lines)
     else:
         raise ValueError("simulate needs --sentence or --src")
-    core._no_empty_sentence(lines)  # the corpus loader's rule
+    core._no_empty_sentence(lines)  # the corpus loader's rules
     source = encode_sentence(tokens, vocab)
+    with core._on_line(index + 1):
+        core._validate_sequence("source", source, vocab)
     suffix = _suffix_spec(args, vocab)
     cfg = PolicyConfig(**{f.name: getattr(args, f.name)
                           for f in dataclasses.fields(PolicyConfig)})

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -317,13 +318,25 @@ def parse_alignment_line(line: str) -> frozenset[tuple[int, int]]:
     return frozenset(links)
 
 
+@contextmanager
+def _on_line(number: int):
+    """Put the 1-based corpus line ``number`` in front of a CorpusError the
+    block raises."""
+    try:
+        yield
+    except CorpusError as exc:
+        raise CorpusError(f"line {number}: {exc}") from None
+
+
 def load_parallel_corpus(
     src_path,
     tgt_path,
     vocab: Vocabulary | None = None,
     align_path=None,
 ) -> tuple[Vocabulary, list[SentencePair]]:
-    """Load a line-aligned corpus, building a joint vocabulary if none given."""
+    """Load a line-aligned corpus, building a joint vocabulary if none given.
+
+    A bad pair or alignment line fails naming its 1-based line."""
     src_lines = read_token_lines(src_path)
     tgt_lines = read_token_lines(tgt_path)
     if len(src_lines) != len(tgt_lines):
@@ -333,24 +346,23 @@ def load_parallel_corpus(
     if vocab is None:
         vocab = build_vocabulary(src_lines + tgt_lines)
 
-    alignments: list[frozenset[tuple[int, int]] | None]
     if align_path is not None:
         with open(align_path, encoding="utf-8") as fh:
             align_lines = fh.read().splitlines()
         if len(align_lines) != len(src_lines):
             raise CorpusError("alignment file is not line-aligned with the corpus")
-        alignments = [parse_alignment_line(line) for line in align_lines]
     else:
-        alignments = [None] * len(src_lines)
+        align_lines = [None] * len(src_lines)
 
     pairs = []
-    for src, tgt, align in zip(src_lines, tgt_lines, alignments):
-        pair = SentencePair(
-            source=encode_sentence(src, vocab),
-            target=encode_sentence(tgt, vocab),
-            alignment=align,
-        )
-        validate_pair(pair, vocab)
+    for number, (src, tgt, align) in enumerate(zip(src_lines, tgt_lines, align_lines), start=1):
+        with _on_line(number):
+            pair = SentencePair(
+                source=encode_sentence(src, vocab),
+                target=encode_sentence(tgt, vocab),
+                alignment=None if align is None else parse_alignment_line(align),
+            )
+            validate_pair(pair, vocab)
         pairs.append(pair)
     return vocab, pairs
 

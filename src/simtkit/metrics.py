@@ -14,7 +14,6 @@ tools that retokenize may differ; that delta is expected.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -133,7 +132,10 @@ def evaluate_run(
     r_max: int | None = None,
     seed: int = 0,
 ) -> EvalResult:
-    """Aggregate AL (sentence mean), corpus BLEU, and optional HR."""
+    """Aggregate AL (sentence mean), corpus BLEU, and optional HR.
+
+    A sentence whose average lagging is undefined (an empty hypothesis, a
+    bad g-record) raises MetricError naming its 0-based index."""
     n = len(references)
     if not (len(sources) == len(hypotheses) == len(g_records) == n):
         raise MetricError("corpus size mismatch across inputs")
@@ -145,9 +147,7 @@ def evaluate_run(
         try:
             lags.append(average_lagging(g_rec, len(src)))
         except MetricError as exc:
-            warnings.warn(f"sentence {i} excluded from AL: {exc}")
-    if not lags:
-        raise MetricError("no sentence produced a defined average lagging")
+            raise MetricError(f"sentence {i}: {exc}") from None
 
     hyp_tokens = [decode_sentence(h, vocab) for h in hypotheses]
     ref_tokens = [decode_sentence(r, vocab) for r in references]

@@ -21,25 +21,29 @@ Every forward runs three stages: (1) the encoder turns the source into the
 cross-attention keys and values, (2) the decoder's causal self-attention
 runs over BOS + target prefix, and (3) the head applies cross-attention,
 the feed-forward block and the output projection. Stage 1 reads only the
-source and stage 2 only the target prefix.
+source and stage 2 only the target prefix. One self-attention step
+(``_self_attend``) computes all four of their self-attention uses: the
+encoder and the decoder of a training batch, and an inference query's new
+encoder rows and its one new decoder row. One step (``_cross_kv``) turns
+the encoder output into the cross-attention keys and values.
 
 Inference (``next_dist``) runs the stages incrementally, as STACL (Ma et
 al. 2019) and efficient wait-k (Elbayad et al. 2020) do. Stage 2 adds the
 decoder rows one at a time, each on the stored self-attention keys and
 values of the rows before it, so a row's arithmetic does not depend on
 what was stored before; stage 3 runs on the last row only. Inside
-``_sentence_cache``, which the policy code opens around each sentence, each
-distinct source and target prefix runs its stage once: the two probes of a
-PsFuture decision share stage 2, and the rows of a divergence matrix share
-stage 1. For a UNIDIRECTIONAL model the cache encodes the sentence's full
-source once. A prefix of it reads its first rows, and any other source (a
-prefix plus a pseudo-future) encodes, in one call, only the rows after the
-longest prefix it shares with the sentence. So an answer depends on one
-thing besides the query and the parameters: a UNIDIRECTIONAL prefix's
-encoder rows come from its sentence's full-source encoding. A query
-outside a cache encodes its own source, and answers bit for bit as inside a
-cache opened without a source. A repeated query in one cache gives
-identical bytes.
+``_sentence_cache(source)``, which the policy code opens around each
+sentence, each distinct source and target prefix runs its stage once: the
+two probes of a PsFuture decision share stage 2, and the rows of a
+divergence matrix share stage 1. For a UNIDIRECTIONAL model the cache
+encodes the sentence's full source once. A prefix of it reads its first
+rows, and any other source (a prefix plus a pseudo-future) encodes, in one
+call, only the rows after the longest prefix it shares with the sentence.
+So an answer depends on one thing besides the query and the parameters: a
+UNIDIRECTIONAL prefix's encoder rows come from its sentence's full-source
+encoding. Every cache has its sentence, checked against ``max_len`` when
+it opens; a query outside a cache is its own sentence. A repeated query in
+one cache gives identical bytes.
 
 Every answer is within 1e-12 (max abs per probability) of the from-scratch
 per-query arithmetic, which runs every stage over all rows of the whole
@@ -126,40 +130,30 @@ class MicroModel:
 
     # -- forward: three stages (see the module docstring) -----------------
 
-    def _encode(self, src, lengths):
-        """Stage 1 of a training batch: the cross-attention keys and values
-        of the encoded sources, then the encoder output and its backward
-        cache. ``src`` is a padded (B, S) batch whose rows hold ``lengths``
-        tokens; no position attends to a padded one."""
-        ids = np.asarray(src)
-        s = ids.shape[-1]
-        allowed = self._tri[:s, :s] if self.mode == UNIDIRECTIONAL else None
-        if (lengths < s).any():
-            keys = (np.arange(s) < lengths[:, None])[:, None, :]
-            allowed = keys if allowed is None else keys & allowed
-        henc, enc_cache = self._embed_and_attend(ids, "enc", allowed)
+    def _self_attend(self, block: str, ids, at, before, allowed):
+        """One self-attention step of ``block``: embed ``ids`` at positions
+        ``at``, append their keys and values to ``before`` (those of the rows
+        before them, or None), and attend from the new rows under
+        ``allowed``. Returns every row's keys and values, the new rows'
+        output and its backward cache. ``ids`` is a training batch (B, L),
+        an inference query's new encoder rows (L,) or its one new decoder
+        row (a scalar, so that row's arithmetic stays 1-D)."""
+        p = self.params
+        x0 = p["embed"][ids] + p["pos"][at]
+        k, v = x0 @ p[f"{block}_k"], x0 @ p[f"{block}_v"]
+        if before is not None:
+            k = np.concatenate((before[0], k.reshape(-1, self.d)))
+            v = np.concatenate((before[1], v.reshape(-1, self.d)))
+        out, parts = _attn_forward(x0, k, v, p, block, allowed)
+        return k, v, out, (x0, x0, k, v, *parts)
+
+    def _cross_kv(self, henc):
+        """Stage 1's last step: the cross-attention keys and values of the
+        encoder output ``henc``, once it is checked finite."""
         if not np.isfinite(henc).all():
             raise NumericError("non-finite values in encoder output")
         p = self.params
-        return (henc @ p["dec_cross_k"], henc @ p["dec_cross_v"]), (henc, enc_cache)
-
-    def _decode_prefix(self, tgt_in):
-        """Stage 2 of a training batch: the causal self-attention output of
-        the padded decoder inputs ``tgt_in`` (BOS + target prefix), then its
-        backward cache. Causality alone keeps a row off the padding after
-        it."""
-        ids = np.asarray(tgt_in)
-        rows = ids.shape[-1]
-        return self._embed_and_attend(ids, "dec_self", self._tri[:rows, :rows])
-
-    def _embed_and_attend(self, ids: np.ndarray, block: str, allowed):
-        """Self-attention ``block`` over the embedded ``ids`` (..., L), with
-        the backward cache of _attn_backward."""
-        p = self.params
-        x0 = p["embed"][ids] + p["pos"][:ids.shape[-1]]
-        k, v = x0 @ p[f"{block}_k"], x0 @ p[f"{block}_v"]
-        out, parts = _attn_forward(x0, k, v, p, block, allowed)
-        return out, (x0, x0, k, v, *parts)
+        return henc @ p["dec_cross_k"], henc @ p["dec_cross_v"]
 
     def _head(self, y1, cross_kv, cross_allowed):
         """Stage 3, of a training batch or of one inference row:
@@ -177,33 +171,30 @@ class MicroModel:
         return logits, (cross_parts, y2, relu, y3)
 
     @contextmanager
-    def _sentence_cache(self, source=None):
+    def _sentence_cache(self, source):
         """Share stages 1 and 2 among the ``next_dist`` queries of the block.
 
         Inside the block a stage runs once per distinct source (stage 1) or
-        decoder input (stage 2). For a UNIDIRECTIONAL model, ``source`` is
-        the sentence whose full encoding serves its prefixes and the shared
-        prefix of every other source; without it each source encodes its
-        own rows, as outside a cache. The parameters must not change
-        meanwhile. The owner of one sentence's queries opens it, so it holds
-        one sentence's stages. Opening starts empty stores and exit drops
-        them.
+        decoder input (stage 2). For a UNIDIRECTIONAL model, the sentence
+        ``source`` is encoded whole once and serves its prefixes and the
+        shared prefix of every other source. A source longer than
+        ``max_len`` raises CapacityError here, before any forward. The
+        parameters must not change meanwhile. The owner of one sentence's
+        queries opens it, so it holds one sentence's stages. Opening starts
+        empty stores and exit drops them.
         """
-        self._stages = self._new_stages(source)
+        sentence = tuple(source)
+        self._check_query(sentence, 0)
+        self._stages = self._new_stages(sentence)
         try:
             yield
         finally:
             self._stages = None
 
-    def _new_stages(self, source):
+    def _new_stages(self, sentence: tuple[int, ...]):
         """Empty stores of stages 1 and 2, and the sentence whose encoding
-        a UNIDIRECTIONAL model's sources share (None: each its own). A
-        caller that skips the policy's length checks (a wrapper that
-        declares no ``max_len``) may pass a sentence longer than
-        ``max_len``; a causal encoder's first ``max_len`` rows do not read
-        the rest, so the sentence keeps its first ``max_len`` tokens."""
-        uni = source is not None and self.mode == UNIDIRECTIONAL
-        return {}, {}, tuple(source)[:self.max_len] if uni else None
+        a UNIDIRECTIONAL model's sources share (None for BIDIRECTIONAL)."""
+        return {}, {}, sentence if self.mode == UNIDIRECTIONAL else None
 
     def _source_rows(self, stages, src: tuple[int, ...]):
         """Stage 1 of a query, stored in ``stages``: the encoder's
@@ -230,17 +221,12 @@ class MicroModel:
         """The (encoder k, encoder v, cross k, cross v) rows of every
         position of ``src``, given ``before``, those of its first positions:
         the encoder attends from each later position to the keys of both."""
-        p = self.params
         start, end = len(before[0]), len(src)
-        x0 = p["embed"][np.asarray(src[start:])] + p["pos"][start:end]
-        k = np.concatenate((before[0], x0 @ p["enc_k"]))
-        v = np.concatenate((before[1], x0 @ p["enc_v"]))
         allowed = self._tri[start:end, :end] if self.mode == UNIDIRECTIONAL else None
-        henc = _attn_forward(x0, k, v, p, "enc", allowed)[0]
-        if not np.isfinite(henc).all():
-            raise NumericError("non-finite values in encoder output")
-        return (k, v, np.concatenate((before[2], henc @ p["dec_cross_k"])),
-                np.concatenate((before[3], henc @ p["dec_cross_v"])))
+        k, v, henc, _ = self._self_attend("enc", np.asarray(src[start:]), slice(start, end),
+                                          before, allowed)
+        cross_k, cross_v = self._cross_kv(henc)
+        return k, v, np.concatenate((before[2], cross_k)), np.concatenate((before[3], cross_v))
 
     def _decoder_row(self, stages, tgt_in: tuple[int, ...]):
         """Stage 2 of a query, stored in ``stages``: the decoder's
@@ -251,13 +237,10 @@ class MicroModel:
         rows = prefixes.get(tgt_in)
         if rows is None:
             r = len(tgt_in) - 1
-            k, v, _ = self._decoder_row(stages, tgt_in[:-1]) if r else \
-                (np.empty((0, self.d)),) * 3
-            p = self.params
-            x0 = p["embed"][tgt_in[-1]] + p["pos"][r]
-            k = np.concatenate((k, (x0 @ p["dec_self_k"])[None]))
-            v = np.concatenate((v, (x0 @ p["dec_self_v"])[None]))
-            rows = prefixes[tgt_in] = (k, v, _attn_forward(x0, k, v, p, "dec_self", None)[0])
+            before = self._decoder_row(stages, tgt_in[:-1]) if r else \
+                (np.empty((0, self.d)),) * 2
+            rows = prefixes[tgt_in] = \
+                self._self_attend("dec_self", tgt_in[-1], r, before, None)[:3]
         return rows
 
     def _check_query(self, src: tuple[int, ...], rows: int, limits="full"):
@@ -323,9 +306,15 @@ class MicroModel:
         non-finite padded value would reach the real rows' gradients.
         """
         src_ids, tgt_in, targets, n, t, limit = self._pad(batch)
-        cross_kv, (henc, enc_cache) = self._encode(src_ids, n)
-        y1, self_cache = self._decode_prefix(tgt_in)
-        s = src_ids.shape[1]
+        s, r = src_ids.shape[1], tgt_in.shape[1]
+        allowed = self._tri[:s, :s] if self.mode == UNIDIRECTIONAL else None
+        if (n < s).any():  # no position attends to a padded source one
+            keys = (np.arange(s) < n[:, None])[:, None, :]
+            allowed = keys if allowed is None else keys & allowed
+        *_, henc, enc_cache = self._self_attend("enc", src_ids, slice(0, s), None, allowed)
+        cross_kv = self._cross_kv(henc)
+        *_, y1, self_cache = self._self_attend("dec_self", tgt_in, slice(0, r), None,
+                                               self._tri[:r, :r])
         cross_allowed = None if (limit == s).all() else np.arange(s) < limit[..., None]
         logits, (cross_parts, *head) = self._head(y1, cross_kv, cross_allowed)
         return logits, targets, t, [src_ids, tgt_in, enc_cache, self_cache,
@@ -376,7 +365,7 @@ class MicroModel:
         src = tuple(source_prefix)
         tgt_in = (self.vocab.bos,) + tuple(target_prefix)
         self._check_query(src, len(tgt_in))
-        stages = self._stages if self._stages is not None else self._new_stages(None)
+        stages = self._stages if self._stages is not None else self._new_stages(src)
         cross_kv = self._source_rows(stages, src)[2:]
         y1 = self._decoder_row(stages, tgt_in)[2]
         return Distribution(_softmax_rows(self._head(y1, cross_kv, None)[0]))

@@ -415,7 +415,7 @@ def test_sentence_cache_reaches_the_model_through_wrappers(monkeypatch, mode):
     opened = []
     open_cache = MicroModel._sentence_cache
 
-    def recorded(self, source=None):
+    def recorded(self, source):
         opened.append((self, source))
         return open_cache(self, source)
 
@@ -720,6 +720,34 @@ def test_inner_eos_source_exits_2_on_every_command(tmp_path, capsys):
         capsys.readouterr()
         assert run_cli(*argv, "--model", str(path)) == 2, argv
         assert capsys.readouterr() == ("", f"simtkit: CorpusError: {loader.value}\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("line_2, align_2, message", [
+    ("w1 <eos>", "1-1", "line 2: source sequence contains more than one EOS"),
+    ("w1 w2", "9-9", "line 2: alignment link (9,9) outside [1,3]x[1,3]"),
+    ("w1 w2", "1:1", "line 2: bad alignment link '1:1'"),
+], ids=["inner-eos", "link-outside", "bad-link"])
+def test_a_bad_corpus_line_is_named(tmp_path, capsys, line_2, align_2, message):
+    """A bad pair fails the whole command before its first forward, with its
+    1-based line in front of the loader's message."""
+    vocab, _, model = copy_world(n_pairs=2)
+    src, tgt, aln, path = (tmp_path / name for name in ("s.txt", "t.txt", "a.txt", "m.json"))
+    sk.save_model(model, path)
+    src.write_text(f"w1 w2\n{line_2}\n")
+    tgt.write_text("w1 w2\nw1 w2\n")
+    aln.write_text(f"1-1\n{align_2}\n")
+    with pytest.raises(sk.CorpusError) as loader:
+        sk.load_parallel_corpus(src, tgt, vocab=vocab, align_path=aln)
+    assert str(loader.value) == message
+    commands = [["sweep", "--policy", "waitk", "--k", "1", "--align", str(aln)]]
+    if align_2 == "1-1":  # divergence reads no alignment
+        commands.append(["divergence", "--index", "0"])
+    for argv in commands:
+        capsys.readouterr()
+        assert run_cli(*argv, "--src", str(src), "--tgt", str(tgt), "--model", str(path),
+                       "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr() == ("", f"simtkit: CorpusError: {message}\n")
     assert not (tmp_path / "o").exists()
 
 

@@ -181,14 +181,13 @@ def test_evaluate_run_matches_standalone_metrics():
     assert res.hr is None
 
 
-def test_evaluate_run_excludes_empty_hypothesis_with_warning():
+def test_evaluate_run_rejects_empty_hypothesis_naming_the_sentence():
     vocab = make_vocab()
     src = (3, 4, 5, 1)
     good = (3, 4, 5, 1)
-    with pytest.warns(UserWarning, match="excluded from AL"):
-        res = evaluate_run(vocab, [src, src], [good, good], [good, ()],
-                           [[4, 4, 4, 4], []])
-    assert res.al == 4.0  # only the defined sentence contributes
+    with pytest.raises(MetricError, match="^sentence 1: average lagging is undefined "
+                                          "for an empty hypothesis$"):
+        evaluate_run(vocab, [src, src], [good, good], [good, ()], [[4, 4, 4, 4], []])
 
 
 def test_eval_result_csv_row_shape():

@@ -70,11 +70,17 @@ def sentence_queries(draw):
 @example(queries=[((3, 4, 1), (5,)), ((5, 4, 1), (5,)), ((3, 4, 5), (5,)), ((3, 4), (5,)),
                   ((3, 4, 1), (4,)), ((3, 4, 1), (4, 4)), ((3, 4, 1), ()), ((3, 4, 1), (5,))])
 def test_sentence_cache_answers_bitwise_as_without_it(mode, queries):
+    """In a cache whose sentence shares no prefix with the queries, and in
+    one opened on each query's own source, a query gives the bits it gives
+    alone: a query outside a cache is its own sentence."""
     model = CACHE_MODELS[mode]
     want = [model.next_dist(*query).probs for query in queries]
-    with model._sentence_cache():
+    with model._sentence_cache((6, 7, 1)):  # the queries' tokens are 3-5
         got = [model.next_dist(*query).probs for query in queries]
     assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+    for query, alone in zip(queries, want):
+        with model._sentence_cache(query[0]):
+            assert model.next_dist(*query).probs.tobytes() == alone.tobytes()
 
 
 @st.composite
@@ -118,17 +124,17 @@ def test_a_sentence_cache_answers_a_run_within_1e12_of_the_oracle(mode, run):
 
 def test_sentence_cache_is_dropped_on_exit():
     m = small_model(mode=UNIDIRECTIONAL)
-    with m._sentence_cache():
+    with m._sentence_cache((3, 4, 1)):
         m.next_dist((3, 4, 1), (5,))
         m.next_dist((3, 4), (5,))
     assert m._stages is None
     with pytest.raises(CapacityError):
-        with m._sentence_cache():
+        with m._sentence_cache((3, 4, 1)):
             m.next_dist((3, 4, 1), (5,))
             m.next_dist((3,) * 20, ())
     assert m._stages is None
-    # the owners of a sentence drop it when they raise too; a wrapper that
-    # declares no max_len gets no length check, so the matrix fails midway
+    # a wrapper that declares no max_len gets no length check from the
+    # policy, so the cache rejects its too-long sentence before any forward
     class Undeclared:
         max_len = None
 
@@ -147,17 +153,17 @@ def test_sentence_cache_is_dropped_on_exit():
     undeclared = Undeclared(m)
     with pytest.raises(CapacityError):
         divergence_matrix(undeclared, m.vocab, too_long, suffix_from_name("eos", m.vocab))
-    assert undeclared.forwards > 0 and m._stages is None
+    assert undeclared.forwards == 0 and m._stages is None
 
 
 def test_no_stage_outlives_its_sentence_cache():
     m = small_model(mode=BIDIRECTIONAL)
     query = ((3, 4, 1), (5,))
-    with m._sentence_cache():
+    with m._sentence_cache(query[0]):
         before = m.next_dist(*query).probs
     _, grads = m.loss_and_grads([((3, 4, 1), (5, 1), "full")])
     sgd_step(m, grads, lr=1.0)
-    with m._sentence_cache():
+    with m._sentence_cache(query[0]):
         after = m.next_dist(*query).probs
     fresh = MicroModel(m.vocab, d=m.d, max_len=m.max_len, mode=m.mode, params=m.clone_params())
     assert after.tobytes() == fresh.next_dist(*query).probs.tobytes()
