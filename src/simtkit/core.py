@@ -161,15 +161,25 @@ class Distribution:
     __slots__ = ("probs", "_argmax", "_sq_norm")
 
     def __init__(self, probs):
-        vec = np.asarray(probs, dtype=np.float64)
+        self._take(np.array(probs, dtype=np.float64))  # a copy of its own
+
+    @classmethod
+    def _owning(cls, vec: np.ndarray) -> "Distribution":
+        """A Distribution that takes the float64 vector ``vec`` over, after
+        the constructor's checks, without a copy: ``vec`` becomes read-only,
+        and the caller must keep no other reference that writes to it."""
+        dist = cls.__new__(cls)
+        dist._take(vec)
+        return dist
+
+    def _take(self, vec: np.ndarray) -> None:
         if vec.ndim != 1 or vec.size == 0:
             raise ValueError("distribution must be a non-empty 1-d vector")
-        if np.any(vec < 0.0):
+        if vec.min() < 0.0:
             raise ValueError("distribution has negative entries")
         total = float(vec.sum())
         if not abs(total - 1.0) <= DIST_TOL:  # NaN fails
             raise ValueError(f"distribution mass {total!r} not within {DIST_TOL} of 1")
-        vec = vec.copy()
         vec.setflags(write=False)
         self.probs = vec
         self._argmax: int | None = None
@@ -288,10 +298,14 @@ def read_token_lines(path) -> list[list[str]]:
         return [line.split() for line in fh.read().splitlines()]
 
 
-def _no_empty_sentence(lines: Sequence[Sequence[str]]) -> None:
-    """Raise CorpusError if a corpus's tokenized ``lines`` hold an empty sentence."""
-    if any(not line for line in lines):
-        raise CorpusError("corpus contains an empty sentence")
+def _no_empty_sentence(*sides: Sequence[Sequence[str]]) -> None:
+    """Raise CorpusError, naming the first 1-based line that holds one, if
+    the line-aligned tokenized ``sides`` of a corpus hold an empty
+    sentence."""
+    for number, line in enumerate(zip(*sides), start=1):
+        if not all(line):
+            with _on_line(number):
+                raise CorpusError("corpus contains an empty sentence")
 
 
 def encode_sentence(tokens: Sequence[str], vocab: Vocabulary) -> tuple[int, ...]:
@@ -342,7 +356,7 @@ def load_parallel_corpus(
     if len(src_lines) != len(tgt_lines):
         raise CorpusError(
             f"source/target line counts differ: {len(src_lines)} vs {len(tgt_lines)}")
-    _no_empty_sentence(src_lines + tgt_lines)
+    _no_empty_sentence(src_lines, tgt_lines)
     if vocab is None:
         vocab = build_vocabulary(src_lines + tgt_lines)
 

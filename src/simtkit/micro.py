@@ -21,17 +21,32 @@ Every forward runs three stages: (1) the encoder turns the source into the
 cross-attention keys and values, (2) the decoder's causal self-attention
 runs over BOS + target prefix, and (3) the head applies cross-attention,
 the feed-forward block and the output projection. Stage 1 reads only the
-source and stage 2 only the target prefix. One self-attention step
-(``_self_attend``) computes all four of their self-attention uses: the
-encoder and the decoder of a training batch, and an inference query's new
-encoder rows and its one new decoder row. One step (``_cross_kv``) turns
-the encoder output into the cross-attention keys and values.
+source and stage 2 only the target prefix. Training and inference share
+the encoder-output step (``_cross_kv``, which checks the encoder output
+finite) and the feed-forward block and output projection
+(``_feed_forward``, which checks the logits finite); their attention
+differs.
+
+Training attends as written: Q, K and V projections, scores over sqrt(d),
+the context times W_o (``_self_attend`` for the encoder and the decoder of
+a batch, ``_attn_forward`` for all three blocks), since its backward needs
+Q, K and V. Inference folds the weights instead. For each attention block
+a sentence cache takes ``KQ = W_k W_q' / sqrt(d)`` and ``VO = W_v W_o``
+once, when it opens, and keeps, per key row with input x0, the folded rows
+``x0 KQ`` and ``x0 VO``; stage 1 keeps the encoder output times the
+cross-attention block's KQ and VO in place of the cross-attention keys and
+values. A query row x then needs one product for its scores (``x kq'``)
+and its output is ``softmax(x kq') vo + x``, with no Q projection, no
+division by sqrt(d) and no product with W_o. One helper
+(``_folded_attend``) serves an inference query's new encoder rows, its one
+new decoder row and the head's cross-attention. The head builds its softmax
+in place and hands it to ``Distribution`` without a copy.
 
 Inference (``next_dist``) runs the stages incrementally, as STACL (Ma et
 al. 2019) and efficient wait-k (Elbayad et al. 2020) do. Stage 2 adds the
-decoder rows one at a time, each on the stored self-attention keys and
-values of the rows before it, so a row's arithmetic does not depend on
-what was stored before; stage 3 runs on the last row only. Inside
+decoder rows one at a time, each on the stored folded rows of the rows
+before it, so a row's arithmetic does not depend on what was stored
+before; stage 3 runs on the last row only. Inside
 ``_sentence_cache(source)``, which the policy code opens around each
 sentence, each distinct source and target prefix runs its stage once: the
 two probes of a PsFuture decision share stage 2, and the rows of a
@@ -42,17 +57,19 @@ call, only the rows after the longest prefix it shares with the sentence.
 So an answer depends on one thing besides the query and the parameters: a
 UNIDIRECTIONAL prefix's encoder rows come from its sentence's full-source
 encoding. Every cache has its sentence, checked against ``max_len`` when
-it opens; a query outside a cache is its own sentence. A repeated query in
-one cache gives identical bytes.
+it opens; a query outside a cache is its own sentence, with folds of its
+own. A repeated query in one cache gives identical bytes.
 
 Every answer is within 1e-12 (max abs per probability) of the from-scratch
-per-query arithmetic, which runs every stage over all rows of the whole
-query (``tests/pair_oracle.py``; at most 3.8e-15 measured on the bench
-checkpoints). It is not bit for bit: numpy may round a product over a
-slice or a single row differently from the same rows of a product over the
-whole block. No parameter may change inside one cache. The cache spans a
-sentence, not a sweep: it then holds one sentence's stages, while a
-sweep-wide cache grows the peak resident set with the corpus.
+per-query arithmetic, which runs every stage unfolded over all rows of the
+whole query (``tests/pair_oracle.py``; at most 7.3e-15 measured on the bench
+checkpoints). It is not bit for bit: the folded products associate the
+weights in another order, and numpy may round a product over a slice or a
+single row differently from the same rows of a product over the whole
+block. No parameter may change inside one cache, since its folds are taken
+when it opens; a cache opened after a change folds the new parameters. The
+cache spans a sentence, not a sweep: it then holds one sentence's stages,
+while a sweep-wide cache grows the peak resident set with the corpus.
 
 Training runs the same stages once per batch, on (B, len, d) arrays padded
 to the batch's longest source and target, followed by one backward pass.
@@ -130,37 +147,43 @@ class MicroModel:
 
     # -- forward: three stages (see the module docstring) -----------------
 
-    def _self_attend(self, block: str, ids, at, before, allowed):
-        """One self-attention step of ``block``: embed ``ids`` at positions
-        ``at``, append their keys and values to ``before`` (those of the rows
-        before them, or None), and attend from the new rows under
-        ``allowed``. Returns every row's keys and values, the new rows'
-        output and its backward cache. ``ids`` is a training batch (B, L),
-        an inference query's new encoder rows (L,) or its one new decoder
-        row (a scalar, so that row's arithmetic stays 1-D)."""
+    def _self_attend(self, block: str, ids, allowed):
+        """One training self-attention step of ``block``: embed the padded
+        batch ``ids`` (B, L) at positions 0..L-1 and attend from every row
+        under ``allowed``. Returns the output and its backward cache."""
+        p = self.params
+        x0 = p["embed"][ids] + p["pos"][:ids.shape[1]]
+        k, v = x0 @ p[f"{block}_k"], x0 @ p[f"{block}_v"]
+        out, parts = _attn_forward(x0, k, v, p, block, allowed)
+        return out, (x0, x0, k, v, *parts)
+
+    def _attend_rows(self, folds, block: str, ids, at, before, allowed):
+        """One inference self-attention step of ``block`` on its folded
+        weights ``folds[block]``: embed ``ids`` at positions ``at``, append
+        their folded rows (``x0 KQ`` and ``x0 VO``) to ``before``, those of
+        the rows before them, and attend from the new rows under
+        ``allowed``. Returns every row's folded rows and the new rows'
+        output. ``ids`` is a query's new encoder rows (L,) or its one new
+        decoder row (a scalar, so that row's arithmetic stays 1-D)."""
         p = self.params
         x0 = p["embed"][ids] + p["pos"][at]
-        k, v = x0 @ p[f"{block}_k"], x0 @ p[f"{block}_v"]
-        if before is not None:
-            k = np.concatenate((before[0], k.reshape(-1, self.d)))
-            v = np.concatenate((before[1], v.reshape(-1, self.d)))
-        out, parts = _attn_forward(x0, k, v, p, block, allowed)
-        return k, v, out, (x0, x0, k, v, *parts)
+        kq, vo = (np.concatenate((mine, (x0 @ w).reshape(-1, self.d)))
+                  for mine, w in zip(before, folds[block]))
+        return kq, vo, _folded_attend(x0, kq, vo, allowed)
 
-    def _cross_kv(self, henc):
-        """Stage 1's last step: the cross-attention keys and values of the
-        encoder output ``henc``, once it is checked finite."""
+    def _cross_kv(self, henc, weights):
+        """Stage 1's last step: the encoder output ``henc`` times each of
+        ``weights`` (the cross-attention key and value projections, or their
+        folds), once it is checked finite."""
         if not np.isfinite(henc).all():
             raise NumericError("non-finite values in encoder output")
-        p = self.params
-        return henc @ p["dec_cross_k"], henc @ p["dec_cross_v"]
+        return tuple(henc @ w for w in weights)
 
-    def _head(self, y1, cross_kv, cross_allowed):
-        """Stage 3, of a training batch or of one inference row:
-        cross-attention under the limits, the feed-forward block and the
-        output projection; the logits, then the backward cache."""
+    def _feed_forward(self, y2):
+        """Stage 3 after the cross-attention, of a training batch or of one
+        inference row: the feed-forward block and the output projection.
+        Returns the logits, checked finite, the ReLU output and y3."""
         p = self.params
-        y2, cross_parts = _attn_forward(y1, *cross_kv, p, "dec_cross", cross_allowed)
         relu = y2 @ p["ff_w1"]
         np.maximum(relu, 0.0, out=relu)  # the backward reads its mask as relu > 0
         y3 = relu @ p["ff_w2"]
@@ -168,7 +191,7 @@ class MicroModel:
         logits = y3 @ p["out_proj"]
         if not np.isfinite(logits).all():
             raise NumericError("non-finite values in logits")
-        return logits, (cross_parts, y2, relu, y3)
+        return logits, relu, y3
 
     @contextmanager
     def _sentence_cache(self, source):
@@ -180,8 +203,8 @@ class MicroModel:
         shared prefix of every other source. A source longer than
         ``max_len`` raises CapacityError here, before any forward. The
         parameters must not change meanwhile. The owner of one sentence's
-        queries opens it, so it holds one sentence's stages. Opening starts
-        empty stores and exit drops them.
+        queries opens it, so it holds one sentence's stages. Opening folds
+        the current parameters and starts empty stores; exit drops them.
         """
         sentence = tuple(source)
         self._check_query(sentence, 0)
@@ -192,17 +215,24 @@ class MicroModel:
             self._stages = None
 
     def _new_stages(self, sentence: tuple[int, ...]):
-        """Empty stores of stages 1 and 2, and the sentence whose encoding
-        a UNIDIRECTIONAL model's sources share (None for BIDIRECTIONAL)."""
-        return {}, {}, sentence if self.mode == UNIDIRECTIONAL else None
+        """Empty stores of stages 1 and 2, the sentence whose encoding a
+        UNIDIRECTIONAL model's sources share (None for BIDIRECTIONAL), and
+        each attention block's folded weights under the current parameters:
+        ``KQ = W_k W_q' / sqrt(d)`` and ``VO = W_v W_o``."""
+        p = self.params
+        scale = np.sqrt(self.d)
+        folds = {block: (p[f"{block}_k"] @ p[f"{block}_q"].T / scale,
+                         p[f"{block}_v"] @ p[f"{block}_o"])
+                 for block in ATTN_BLOCKS}
+        return {}, {}, sentence if self.mode == UNIDIRECTIONAL else None, folds
 
     def _source_rows(self, stages, src: tuple[int, ...]):
-        """Stage 1 of a query, stored in ``stages``: the encoder's
-        self-attention keys and values and the cross-attention keys and
-        values of every position of ``src``. The positions ``src`` shares
-        with the sentence come from the sentence's encoding; the rest are
-        encoded in one call."""
-        sources, _, sentence = stages
+        """Stage 1 of a query, stored in ``stages``: the encoder's folded
+        self-attention rows and the folded cross-attention rows of every
+        position of ``src``. The positions ``src`` shares with the sentence
+        come from the sentence's encoding; the rest are encoded in one
+        call."""
+        sources, _, sentence, folds = stages
         rows = sources.get(src)
         if rows is None:
             shared = 0
@@ -213,34 +243,34 @@ class MicroModel:
                     shared += 1
             before = tuple(a[:shared] for a in self._source_rows(stages, sentence)) \
                 if shared else (np.empty((0, self.d)),) * 4
-            rows = before if shared == len(src) else self._encode_rows(src, before)
+            rows = before if shared == len(src) else self._encode_rows(folds, src, before)
             sources[src] = rows
         return rows
 
-    def _encode_rows(self, src: tuple[int, ...], before):
-        """The (encoder k, encoder v, cross k, cross v) rows of every
+    def _encode_rows(self, folds, src: tuple[int, ...], before):
+        """The (encoder kq, encoder vo, cross kq, cross vo) rows of every
         position of ``src``, given ``before``, those of its first positions:
-        the encoder attends from each later position to the keys of both."""
+        the encoder attends from each later position to the rows of both."""
         start, end = len(before[0]), len(src)
         allowed = self._tri[start:end, :end] if self.mode == UNIDIRECTIONAL else None
-        k, v, henc, _ = self._self_attend("enc", np.asarray(src[start:]), slice(start, end),
-                                          before, allowed)
-        cross_k, cross_v = self._cross_kv(henc)
-        return k, v, np.concatenate((before[2], cross_k)), np.concatenate((before[3], cross_v))
+        kq, vo, henc = self._attend_rows(folds, "enc", np.asarray(src[start:]),
+                                         slice(start, end), before[:2], allowed)
+        cross_kq, cross_vo = self._cross_kv(henc, folds["dec_cross"])
+        return kq, vo, np.concatenate((before[2], cross_kq)), np.concatenate((before[3], cross_vo))
 
     def _decoder_row(self, stages, tgt_in: tuple[int, ...]):
-        """Stage 2 of a query, stored in ``stages``: the decoder's
-        self-attention keys and values of every row of ``tgt_in`` and the
+        """Stage 2 of a query, stored in ``stages``: the decoder's folded
+        self-attention rows of every row of ``tgt_in`` and the
         self-attention output of its last row. The last row is computed
         alone, on the stored rows of ``tgt_in[:-1]``."""
         prefixes = stages[1]
         rows = prefixes.get(tgt_in)
         if rows is None:
             r = len(tgt_in) - 1
-            before = self._decoder_row(stages, tgt_in[:-1]) if r else \
+            before = self._decoder_row(stages, tgt_in[:-1])[:2] if r else \
                 (np.empty((0, self.d)),) * 2
             rows = prefixes[tgt_in] = \
-                self._self_attend("dec_self", tgt_in[-1], r, before, None)[:3]
+                self._attend_rows(stages[3], "dec_self", tgt_in[-1], r, before, None)
         return rows
 
     def _check_query(self, src: tuple[int, ...], rows: int, limits="full"):
@@ -311,14 +341,15 @@ class MicroModel:
         if (n < s).any():  # no position attends to a padded source one
             keys = (np.arange(s) < n[:, None])[:, None, :]
             allowed = keys if allowed is None else keys & allowed
-        *_, henc, enc_cache = self._self_attend("enc", src_ids, slice(0, s), None, allowed)
-        cross_kv = self._cross_kv(henc)
-        *_, y1, self_cache = self._self_attend("dec_self", tgt_in, slice(0, r), None,
-                                               self._tri[:r, :r])
+        p = self.params
+        henc, enc_cache = self._self_attend("enc", src_ids, allowed)
+        cross_kv = self._cross_kv(henc, (p["dec_cross_k"], p["dec_cross_v"]))
+        y1, self_cache = self._self_attend("dec_self", tgt_in, self._tri[:r, :r])
         cross_allowed = None if (limit == s).all() else np.arange(s) < limit[..., None]
-        logits, (cross_parts, *head) = self._head(y1, cross_kv, cross_allowed)
+        y2, cross_parts = _attn_forward(y1, *cross_kv, p, "dec_cross", cross_allowed)
+        logits, relu, y3 = self._feed_forward(y2)
         return logits, targets, t, [src_ids, tgt_in, enc_cache, self_cache,
-                                    (y1, henc, *cross_kv, *cross_parts), *head]
+                                    (y1, henc, *cross_kv, *cross_parts), y2, relu, y3]
 
     def _batch_backward(self, cache: list, dlogits: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of every parameter given the cache of _batch_forward
@@ -366,9 +397,10 @@ class MicroModel:
         tgt_in = (self.vocab.bos,) + tuple(target_prefix)
         self._check_query(src, len(tgt_in))
         stages = self._stages if self._stages is not None else self._new_stages(src)
-        cross_kv = self._source_rows(stages, src)[2:]
+        cross = self._source_rows(stages, src)[2:]
         y1 = self._decoder_row(stages, tgt_in)[2]
-        return Distribution(_softmax_rows(self._head(y1, cross_kv, None)[0]))
+        logits = self._feed_forward(_folded_attend(y1, *cross, None))[0]
+        return Distribution._owning(_softmax_rows(logits))
 
     def loss_and_grads(self, batch) -> tuple[float, dict[str, np.ndarray]]:
         """Mean token NLL over a batch plus exact gradients, from one padded
@@ -424,9 +456,13 @@ def _flat(x: np.ndarray) -> np.ndarray:
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, in place: ``x`` is a fresh array that
+    becomes the result."""
+    # the reductions as ufunc calls: ndarray.max and .sum add a Python wrapper per call
+    x -= np.maximum.reduce(x, axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= np.add.reduce(x, axis=-1, keepdims=True)
+    return x
 
 
 def _log_softmax_nll(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -455,6 +491,21 @@ def _attn_forward(q_in, k, v, params, block, allowed):
     attn = _softmax_rows(scores)
     ctx = attn @ v
     return ctx @ params[f"{block}_o"] + q_in, (q, attn, ctx)
+
+
+def _folded_attend(x, kq, vo, allowed):
+    """Attention with residual on folded rows, for inference:
+    ``softmax(x kq') vo + x``, where a key row's ``kq`` is its input times
+    ``W_k W_q' / sqrt(d)`` and its ``vo`` its input times ``W_v W_o``. This
+    is _attn_forward's output with the two weight products of each side
+    taken once per sentence cache. ``x`` is one row (d,) or rows (L, d);
+    ``allowed`` is as in _attn_forward."""
+    scores = x @ kq.T
+    if allowed is not None:
+        scores = np.where(allowed, scores, -np.inf)
+    out = _softmax_rows(scores) @ vo
+    out += x
+    return out
 
 
 def _attn_backward(cache, dout, params, block, grads):

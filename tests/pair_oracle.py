@@ -3,9 +3,10 @@ scratch, as the reference for ``MicroModel``'s incremental inference and
 padded batch paths.
 
 Every array here is 2-D: one source, one decoder input. ``next_dist`` runs
-every stage over all rows of the whole query; ``MicroModel.next_dist``
-reuses stored rows and runs its head on the last row only, so the two agree
-within 1e-12 per probability, not bit for bit. ``loss_and_grads`` runs a
+every stage, unfolded, over all rows of the whole query;
+``MicroModel.next_dist`` reuses stored rows, attends on folded weights and
+runs its head on the last row only, so the two agree within 1e-12 per
+probability, not bit for bit. ``loss_and_grads`` runs a
 forward and a backward per pair and adds the pairs' gradients up in batch
 order; the padded batch sums in another order, so the two agree to
 rounding.

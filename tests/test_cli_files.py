@@ -279,8 +279,9 @@ def test_bad_corpus_is_rejected_and_oov_runs(files, src, tgt, empty, command):
     read = len(src) if command == "simulate" else len(lines)  # simulate reads no targets
     if command != "simulate" and len(src) != len(tgt):
         message = f"source/target line counts differ: {len(src)} vs {len(tgt)}"
-    elif any(i < read for i in blank):
-        message = "corpus contains an empty sentence"
+    elif any(i < read for i in blank):  # the first line blank on either side
+        line = min(i if i < len(src) else i - len(src) for i in blank if i < read) + 1
+        message = f"line {line}: corpus contains an empty sentence"
     else:
         assert code == 0, stderr
         return
@@ -298,4 +299,4 @@ def test_simulate_rejects_an_empty_sentence_as_the_loader_does(files, sentence):
         argv = ["simulate", "--model", model, "--sentence", sentence, "--out", "{out}/o"]
         code, stdout, stderr, written = _check(argv, ["o"], out)
     _assert_rejected(code, stdout, stderr, written)
-    assert stderr == "simtkit: CorpusError: corpus contains an empty sentence\n"
+    assert stderr == "simtkit: CorpusError: line 1: corpus contains an empty sentence\n"

@@ -16,6 +16,7 @@ from simtkit import (
 )
 
 from conftest import make_vocab
+from simtkit.core import DIST_TOL
 
 
 # -- vocabulary -------------------------------------------------------------
@@ -114,6 +115,46 @@ def test_distribution_argmax_is_numpys_first_maximum_on_every_call(raw):
     assert type(first) is int
     assert first == int(np.argmax(vec)) == raw.index(max(raw))  # lowest index wins
     assert dist.argmax() == dist.argmax() == first
+
+
+@st.composite
+def probability_vectors(draw):
+    """A float64 vector that is a valid distribution, or one spoilt by a
+    negative entry, a NaN entry or a mass 10 tolerances off one."""
+    raw = np.asarray(draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=12)))
+    vec = raw / raw.sum() if raw.sum() > 0 else np.full(raw.size, 1.0 / raw.size)
+    spoil, i = draw(st.sampled_from(["none", "negative", "nan", "heavy", "light"])), \
+        draw(st.integers(0, vec.size - 1))
+    if spoil == "negative":
+        vec[i] = -draw(st.floats(1e-300, 1.0))
+    elif spoil == "nan":
+        vec[i] = np.nan
+    elif spoil in ("heavy", "light"):
+        vec[i] += 10 * DIST_TOL if spoil == "heavy" else -min(vec[i], 10 * DIST_TOL)
+    return vec
+
+
+def _outcome(build, vec):
+    try:
+        return build(vec)
+    except ValueError:
+        return None
+
+
+@given(vec=probability_vectors())
+def test_the_owning_constructor_accepts_exactly_what_the_constructor_accepts(vec):
+    """``Distribution._owning`` takes a vector over without a copy, and
+    accepts, rejects and answers exactly as ``Distribution(...)``."""
+    public = _outcome(Distribution, vec)
+    owned = _outcome(Distribution._owning, vec.copy())
+    assert (public is None) == (owned is None)
+    if owned is not None:
+        assert owned.probs.tobytes() == public.probs.tobytes()
+        assert not owned.probs.flags.writeable
+        assert owned.argmax() == public.argmax()
+        assert owned._squared_norm() == public._squared_norm()
+        kept = vec.copy()
+        assert Distribution._owning(kept).probs is kept  # no copy
 
 
 # -- sentence pairs ---------------------------------------------------------

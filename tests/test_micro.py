@@ -24,7 +24,7 @@ from simtkit import (
 
 import pair_oracle
 from conftest import make_vocab
-from simtkit.micro import _log_softmax_nll
+from simtkit.micro import ATTN_BLOCKS, _log_softmax_nll
 
 
 def small_model(mode=BIDIRECTIONAL, seed=3, d=8):
@@ -168,6 +168,41 @@ def test_no_stage_outlives_its_sentence_cache():
     fresh = MicroModel(m.vocab, d=m.d, max_len=m.max_len, mode=m.mode, params=m.clone_params())
     assert after.tobytes() == fresh.next_dist(*query).probs.tobytes()
     assert not np.array_equal(after, before)
+
+
+def _train_step(m):
+    _, grads = m.loss_and_grads([((3, 4, 5, 1), (5, 4, 1), "full")])
+    sgd_step(m, grads, lr=1.0)
+
+
+def _set_params(m):
+    m.set_params({name: val * 1.5 for name, val in m.clone_params().items()})
+
+
+def _write_in_place(m):
+    for block in ATTN_BLOCKS:  # every weight a fold reads
+        for proj in "qkvo":
+            m.params[f"{block}_{proj}"][...] = 3.0 * m.params[f"{block}_{proj}"]
+
+
+@pytest.mark.parametrize("mode", [BIDIRECTIONAL, UNIDIRECTIONAL])
+@pytest.mark.parametrize("change", [_train_step, _set_params, _write_in_place])
+def test_a_new_cache_folds_the_parameters_it_opens_on(mode, change):
+    """Parameters changed between two caches, by an SGD step, set_params or
+    a write into a tensor: the second cache answers from the new parameters,
+    within 1e-12 of the from-scratch arithmetic, and not from folds of the
+    old ones."""
+    m = small_model(mode=mode, seed=5)
+    sentence = (3, 4, 5, 1)
+    queries = [(sentence[:2], ()), (sentence, (5,)), (sentence[:3] + (1,), (5, 4))]
+    with m._sentence_cache(sentence):
+        before = [m.next_dist(*q).probs for q in queries]
+    change(m)
+    with m._sentence_cache(sentence):
+        after = [m.next_dist(*q).probs for q in queries]
+    for probs, old, query in zip(after, before, queries):
+        assert np.abs(probs - pair_oracle.next_dist(m, *query)).max() <= 1e-12
+        assert np.abs(probs - old).max() > 1e-9
 
 
 def max_fd_rel_error(model, batch, h=1e-4):
