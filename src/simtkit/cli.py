@@ -326,13 +326,27 @@ def _cmd_divergence(args) -> int:
     return 0
 
 
-def _line_lag(number: int, line: str, n_source: int) -> float:
+def _line_lag(number: int, line: str, n_hyp: int, n_source: int) -> float:
     """Average lagging of the g-record on line ``number`` (1-based) of the
-    --g-records file; a bad record fails naming its line."""
+    --g-records file, for a hypothesis of ``n_hyp`` tokens; a bad record
+    fails naming its line."""
     try:
-        return average_lagging([int(x) for x in line.split()], n_source)
+        g_record = [int(x) for x in line.split()]
+        if len(g_record) not in (n_hyp, n_hyp + 1):  # +1: the hypothesis's EOS
+            raise MetricError(f"g-record length {len(g_record)} matches neither the "
+                              f"hypothesis's {n_hyp} tokens nor {n_hyp + 1} with its EOS")
+        return average_lagging(g_record, n_source)
     except ValueError as exc:  # a MetricError, or a token that is no integer
         raise MetricError(f"line {number}: {exc}") from None
+
+
+def _line_aligned(path, flag: str, n_lines: int) -> list[str]:
+    """The lines of the ``flag`` file, which must hold one per hypothesis."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if len(lines) != n_lines:
+        raise ValueError(f"{flag} is not line-aligned with the corpus")
+    return lines
 
 
 def _cmd_eval(args) -> int:
@@ -340,29 +354,29 @@ def _cmd_eval(args) -> int:
     ref_lines = core.read_token_lines(args.ref)
     if len(hyp_lines) != len(ref_lines):
         raise ValueError("hypothesis/reference line counts differ")
-    bleu = corpus_bleu(hyp_lines, ref_lines)
-    al = ""
+    al = hr = None
     if args.g_records:
         if not args.src:
             raise ValueError("--g-records requires --src for source lengths")
         src_lines = core.read_token_lines(args.src)
         if len(src_lines) != len(hyp_lines):
             raise ValueError("--src is not line-aligned with the corpus")
-        with open(args.g_records, encoding="utf-8") as fh:
-            g_lines = fh.read().splitlines()
-        if len(g_lines) != len(hyp_lines):
-            raise ValueError("--g-records is not line-aligned with the corpus")
-        lags = [_line_lag(number, line, len(src) + 1)  # +1: EOS is part of N
-                for number, (line, src) in enumerate(zip(g_lines, src_lines), start=1)]
-        al = repr(sum(lags) / len(lags))
-    hr = ""
+        g_lines = _line_aligned(args.g_records, "--g-records", len(hyp_lines))
+        lags = [_line_lag(number, line, len(hyp), len(src) + 1)  # +1: EOS is part of N
+                for number, (line, hyp, src)
+                in enumerate(zip(g_lines, hyp_lines, src_lines), start=1)]
+        al = sum(lags) / len(lags)
     if args.hyp_align:
-        with open(args.hyp_align, encoding="utf-8") as fh:
-            aligns = [core.parse_alignment_line(line)
-                      for line in fh.read().splitlines()]
-        hr = repr(hallucination_rate(hyp_lines, aligns))
-    _write([EvalResult.CSV_HEADER,
-            f"external,,,,{al},{bleu!r},{hr},{len(hyp_lines)},{args.seed}"], args.out)
+        aligns = []
+        for number, line in enumerate(
+                _line_aligned(args.hyp_align, "--hyp-align", len(hyp_lines)), start=1):
+            with core._on_line(number):
+                aligns.append(core.parse_alignment_line(line))
+        hr = hallucination_rate(hyp_lines, aligns)
+    row = EvalResult(policy="external", lambda_or_k=None, suffix="", r_max=None, al=al,
+                     bleu=corpus_bleu(hyp_lines, ref_lines), hr=hr,
+                     n_sentences=len(hyp_lines), seed=args.seed)
+    _write([EvalResult.CSV_HEADER, row.csv_row()], args.out)
     return 0
 
 

@@ -84,6 +84,8 @@ class Vocabulary:
             for tok in self.freq_rank:
                 if tok not in self.id_of:
                     raise ConfigError(f"ranked token {tok!r} not in vocabulary")
+                if self.id_of[tok] in (self.bos, self.eos, self.unk):
+                    raise ConfigError(f"special token {tok!r} must not be ranked")
             ranked = tuple(self.id_of[tok]
                            for tok in sorted(self.freq_rank, key=self.freq_rank.__getitem__))
         object.__setattr__(self, "ranked_ids", ranked)
@@ -152,32 +154,22 @@ class Distribution:
     """A probability vector over the vocabulary.
 
     Construction rejects negative entries and vectors whose mass is not
-    within 1e-9 of one (a NaN entry gives a NaN mass, which fails too). The
-    underlying array is read-only, so the argmax and the squared norm are
-    computed on first use and kept: a table hands out the same object to
-    many decisions.
+    within 1e-9 of one (a NaN entry gives a NaN mass, which fails too). It
+    keeps a read-only copy of the vector, so the argmax and the squared norm
+    are computed on first use and kept: a table hands out the same object
+    to many decisions.
     """
 
     __slots__ = ("probs", "_argmax", "_sq_norm")
 
     def __init__(self, probs):
-        self._take(np.array(probs, dtype=np.float64))  # a copy of its own
-
-    @classmethod
-    def _owning(cls, vec: np.ndarray) -> "Distribution":
-        """A Distribution that takes the float64 vector ``vec`` over, after
-        the constructor's checks, without a copy: ``vec`` becomes read-only,
-        and the caller must keep no other reference that writes to it."""
-        dist = cls.__new__(cls)
-        dist._take(vec)
-        return dist
-
-    def _take(self, vec: np.ndarray) -> None:
+        vec = np.array(probs, dtype=np.float64)  # a copy of its own
         if vec.ndim != 1 or vec.size == 0:
             raise ValueError("distribution must be a non-empty 1-d vector")
-        if vec.min() < 0.0:
+        # the reductions as ufunc calls: ndarray.min and .sum add a Python wrapper per call
+        if np.minimum.reduce(vec) < 0.0:
             raise ValueError("distribution has negative entries")
-        total = float(vec.sum())
+        total = float(np.add.reduce(vec))
         if not abs(total - 1.0) <= DIST_TOL:  # NaN fails
             raise ValueError(f"distribution mass {total!r} not within {DIST_TOL} of 1")
         vec.setflags(write=False)

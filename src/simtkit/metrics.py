@@ -98,12 +98,12 @@ def hallucination_rate(hypotheses: Sequence[Sequence],
 
 @dataclass(frozen=True)
 class EvalResult:
-    """One row of a latency/quality curve."""
+    """One row of a latency/quality curve; a ``None`` field is written empty."""
     policy: str
-    lambda_or_k: float
+    lambda_or_k: float | None
     suffix: str
     r_max: int | None
-    al: float
+    al: float | None
     bleu: float
     hr: float | None
     n_sentences: int
@@ -112,10 +112,11 @@ class EvalResult:
     CSV_HEADER = "policy,lambda_or_k,suffix,r_max,al,bleu,hr,n_sentences,seed"
 
     def csv_row(self) -> str:
+        lambda_or_k, al, hr = ("" if v is None else repr(v)
+                               for v in (self.lambda_or_k, self.al, self.hr))
         r_max = "" if self.r_max is None else str(self.r_max)
-        hr = "" if self.hr is None else repr(self.hr)
-        return (f"{self.policy},{self.lambda_or_k!r},{self.suffix},{r_max},"
-                f"{self.al!r},{self.bleu!r},{hr},{self.n_sentences},{self.seed}")
+        return (f"{self.policy},{lambda_or_k},{self.suffix},{r_max},"
+                f"{al},{self.bleu!r},{hr},{self.n_sentences},{self.seed}")
 
 
 def evaluate_run(

@@ -39,8 +39,7 @@ values. A query row x then needs one product for its scores (``x kq'``)
 and its output is ``softmax(x kq') vo + x``, with no Q projection, no
 division by sqrt(d) and no product with W_o. One helper
 (``_folded_attend``) serves an inference query's new encoder rows, its one
-new decoder row and the head's cross-attention. The head builds its softmax
-in place and hands it to ``Distribution`` without a copy.
+new decoder row and the head's cross-attention.
 
 Inference (``next_dist``) runs the stages incrementally, as STACL (Ma et
 al. 2019) and efficient wait-k (Elbayad et al. 2020) do. Stage 2 adds the
@@ -400,7 +399,7 @@ class MicroModel:
         cross = self._source_rows(stages, src)[2:]
         y1 = self._decoder_row(stages, tgt_in)[2]
         logits = self._feed_forward(_folded_attend(y1, *cross, None))[0]
-        return Distribution._owning(_softmax_rows(logits))
+        return Distribution(_softmax_rows(logits))
 
     def loss_and_grads(self, batch) -> tuple[float, dict[str, np.ndarray]]:
         """Mean token NLL over a batch plus exact gradients, from one padded

@@ -81,6 +81,22 @@ def test_vocab_invariants_enforced():
     Vocabulary(tokens=("a", "b", "c"), bos=np.int64(0), eos=1, unk=2)
 
 
+def test_a_ranked_special_token_is_rejected():
+    """Special tokens are never ranked, so a random suffix over the top
+    ranks can draw no BOS, EOS or UNK."""
+    tokens = ("<bos>", "<eos>", "<unk>", "a")
+    for special in tokens[:3]:
+        with pytest.raises(ConfigError, match=f"^special token '{special}' must not be ranked$"):
+            Vocabulary(tokens=tokens, bos=0, eos=1, unk=2, freq_rank={"a": 1, special: 2})
+    with pytest.raises(ConfigError, match="^special token '<bos>' must not be ranked$"):
+        Vocabulary(tokens=tokens, bos=0, eos=1, unk=2,
+                   freq_rank={"<bos>": 1, "<eos>": 2, "a": 3})
+    # a special is told by its id, not by its name
+    vocab = Vocabulary(tokens=("s", "e", "u", "<bos>"), bos=0, eos=1, unk=2,
+                       freq_rank={"<bos>": 1})
+    assert vocab.top_ranked_ids(1) == (3,)
+
+
 # -- distributions ----------------------------------------------------------
 
 def test_distribution_accepts_valid_rejects_invalid():
@@ -120,7 +136,8 @@ def test_distribution_argmax_is_numpys_first_maximum_on_every_call(raw):
 @st.composite
 def probability_vectors(draw):
     """A float64 vector that is a valid distribution, or one spoilt by a
-    negative entry, a NaN entry or a mass 10 tolerances off one."""
+    negative entry, a NaN entry or a mass 10 tolerances off one, with the
+    name of its spoil ("none" when it is valid)."""
     raw = np.asarray(draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=12)))
     vec = raw / raw.sum() if raw.sum() > 0 else np.full(raw.size, 1.0 / raw.size)
     spoil, i = draw(st.sampled_from(["none", "negative", "nan", "heavy", "light"])), \
@@ -129,32 +146,34 @@ def probability_vectors(draw):
         vec[i] = -draw(st.floats(1e-300, 1.0))
     elif spoil == "nan":
         vec[i] = np.nan
-    elif spoil in ("heavy", "light"):
-        vec[i] += 10 * DIST_TOL if spoil == "heavy" else -min(vec[i], 10 * DIST_TOL)
-    return vec
+    elif spoil == "heavy":
+        vec[i] += 10 * DIST_TOL
+    elif spoil == "light":
+        vec[np.argmax(vec)] -= 10 * DIST_TOL  # the largest entry is at least 1/12
+    return spoil, vec
 
 
-def _outcome(build, vec):
-    try:
-        return build(vec)
-    except ValueError:
-        return None
-
-
-@given(vec=probability_vectors())
-def test_the_owning_constructor_accepts_exactly_what_the_constructor_accepts(vec):
-    """``Distribution._owning`` takes a vector over without a copy, and
-    accepts, rejects and answers exactly as ``Distribution(...)``."""
-    public = _outcome(Distribution, vec)
-    owned = _outcome(Distribution._owning, vec.copy())
-    assert (public is None) == (owned is None)
-    if owned is not None:
-        assert owned.probs.tobytes() == public.probs.tobytes()
-        assert not owned.probs.flags.writeable
-        assert owned.argmax() == public.argmax()
-        assert owned._squared_norm() == public._squared_norm()
-        kept = vec.copy()
-        assert Distribution._owning(kept).probs is kept  # no copy
+@given(case=probability_vectors())
+def test_the_constructor_accepts_exactly_the_unspoilt_vectors_and_keeps_a_copy(case):
+    """``Distribution(...)`` accepts every valid vector and rejects each
+    spoilt one with its message. It keeps a read-only copy: a later write to
+    the caller's array, which stays writable, changes nothing."""
+    spoil, vec = case
+    if spoil != "none":
+        message = "distribution has negative entries" if spoil == "negative" else \
+            f"distribution mass {float(vec.sum())!r} not within {DIST_TOL} of 1"
+        with pytest.raises(ValueError) as raised:
+            Distribution(vec)
+        assert str(raised.value) == message
+        return
+    kept = vec.tobytes()
+    dist = Distribution(vec)
+    assert dist.probs is not vec and dist.probs.tobytes() == kept
+    vec[:] = 2.0
+    assert dist.probs.tobytes() == kept
+    assert vec.flags.writeable and not dist.probs.flags.writeable
+    with pytest.raises(ValueError):
+        dist.probs[0] = 0.0
 
 
 # -- sentence pairs ---------------------------------------------------------

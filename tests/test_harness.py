@@ -864,7 +864,9 @@ def test_cli_eval_with_g_records_and_alignment(tmp_path, capsys):
     ("1 2 3\n9 9 9\n", "MetricError: line 2: g value 9 outside [1, 3]"),
     ("1 2 3\n1 x 3\n", "MetricError: line 2: invalid literal for int() with base 10: 'x'"),
     ("3 2 3\n1 2 3\n", "MetricError: line 1: g_record is not monotone non-decreasing"),
-], ids=["out-of-range", "non-integer", "not-monotone"])
+    ("1 2 3\n1 1 2 3\n", "MetricError: line 2: g-record length 4 matches neither the "
+                          "hypothesis's 2 tokens nor 3 with its EOS"),
+], ids=["out-of-range", "non-integer", "not-monotone", "wrong-length"])
 def test_cli_eval_names_the_line_of_a_bad_g_record(tmp_path, capsys, g_records, message):
     hyp, ref, src, g_rec = (tmp_path / name for name in ("h.txt", "r.txt", "s.txt", "g.txt"))
     for path in (hyp, ref, src):
@@ -872,4 +874,29 @@ def test_cli_eval_names_the_line_of_a_bad_g_record(tmp_path, capsys, g_records, 
     g_rec.write_text(g_records)
     assert run_cli("eval", "--hyp", str(hyp), "--ref", str(ref), "--src", str(src),
                    "--g-records", str(g_rec)) == 2
+    assert capsys.readouterr().err == f"simtkit: {message}\n"
+
+
+def test_cli_eval_scores_a_g_record_with_or_without_its_eos_value(tmp_path, capsys):
+    hyp, ref, src, g_rec = (tmp_path / name for name in ("h.txt", "r.txt", "s.txt", "g.txt"))
+    for path in (hyp, ref, src):
+        path.write_text("a b\na b\n")  # N = 2 content + EOS = 3
+    g_rec.write_text("1 2\n1 2 3\n")
+    assert run_cli("eval", "--hyp", str(hyp), "--ref", str(ref), "--src", str(src),
+                   "--g-records", str(g_rec)) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "external,,,,0.875,0.0,,2,0"
+
+
+@pytest.mark.parametrize("alignments, message", [
+    ("1-1\nx\n", "CorpusError: line 2: bad alignment link 'x'"),
+    ("1-1 2-2 3-3\n", "ValueError: --hyp-align is not line-aligned with the corpus"),
+    ("1-1\n1-1\n1-1\n", "ValueError: --hyp-align is not line-aligned with the corpus"),
+], ids=["bad-link", "too-few-lines", "too-many-lines"])
+def test_cli_eval_checks_its_hyp_align_file_as_the_loader_does(tmp_path, capsys, alignments,
+                                                                message):
+    hyp, ref, aln = (tmp_path / name for name in ("h.txt", "r.txt", "a.txt"))
+    for path in (hyp, ref):
+        path.write_text("a b\na b\n")
+    aln.write_text(alignments)
+    assert run_cli("eval", "--hyp", str(hyp), "--ref", str(ref), "--hyp-align", str(aln)) == 2
     assert capsys.readouterr().err == f"simtkit: {message}\n"

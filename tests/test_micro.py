@@ -10,15 +10,19 @@ from simtkit import (
     BIDIRECTIONAL,
     CapacityError,
     ConfigError,
+    Distribution,
     MicroModel,
     ModelFileError,
     NumericError,
+    PolicyConfig,
     SentencePair,
     UNIDIRECTIONAL,
+    build_vocabulary,
     divergence_matrix,
     load_model,
     save_model,
     sgd_step,
+    simulate_sentence,
     suffix_from_name,
 )
 
@@ -205,6 +209,37 @@ def test_a_new_cache_folds_the_parameters_it_opens_on(mode, change):
         assert np.abs(probs - old).max() > 1e-9
 
 
+@pytest.mark.parametrize("mode", [BIDIRECTIONAL, UNIDIRECTIONAL])
+def test_every_forward_builds_its_answer_through_the_constructor(mode, monkeypatch):
+    """With ``Distribution.__init__`` wrapped by a counter, as the benchmark
+    spans it, a sentence-cache run builds exactly one ``Distribution`` per
+    ``next_dist`` forward: a PsFuture run, a divergence matrix and queries
+    asked in an open cache."""
+    m = small_model(mode=mode, seed=5)
+    counts = {"built": 0, "forwards": 0}
+    init, next_dist = Distribution.__init__, m.next_dist
+
+    def counted_init(self, probs):
+        counts["built"] += 1
+        init(self, probs)
+
+    def counted_next_dist(*query):
+        counts["forwards"] += 1
+        return next_dist(*query)
+
+    monkeypatch.setattr(Distribution, "__init__", counted_init)
+    monkeypatch.setattr(m, "next_dist", counted_next_dist)
+    pair = SentencePair(source=(3, 4, 5, 6, 1), target=(5, 4, 1))
+    eos = suffix_from_name("eos", m.vocab)
+    simulate_sentence(m, m.vocab, PolicyConfig(lam=0.2, max_target_len=8), eos, pair.source)
+    divergence_matrix(m, m.vocab, pair, eos)
+    with m._sentence_cache(pair.source):
+        for j in range(1, len(pair.source) + 1):
+            m.next_dist(pair.source[:j], pair.target[:j - 1])
+    assert counts["forwards"] > len(pair.source)
+    assert counts["built"] == counts["forwards"]
+
+
 def max_fd_rel_error(model, batch, h=1e-4):
     """Worst relative error of analytic grads vs central finite differences,
     over every entry of every parameter tensor."""
@@ -348,8 +383,19 @@ def test_truncated_model_file_rejected(tmp_path):
         load_model(path)
 
 
+def test_a_model_file_ranking_a_special_token_is_rejected(tmp_path):
+    path = tmp_path / "m.json"
+    save_model(MicroModel(build_vocabulary([["a", "b"], ["a"]]), d=4, max_len=8), path)
+    doc = json.loads(path.read_text())
+    ranks = doc["vocab"]["freq_rank"]
+    ranks["<eos>"] = len(ranks) + 1  # still a bijection onto 1..n_ranked
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="^special token '<eos>' must not be ranked$"):
+        load_model(path)
+
+
 def test_table_model_round_trip_lookup_traces(tmp_path):
-    from simtkit import Distribution, TableModel, uniform_distribution
+    from simtkit import TableModel, uniform_distribution
     vocab = make_vocab(3)
     n = len(vocab)
     entries = {
