@@ -136,7 +136,8 @@ def evaluate_run(
     """Aggregate AL (sentence mean), corpus BLEU, and optional HR.
 
     A sentence whose average lagging is undefined (an empty hypothesis, a
-    bad g-record) raises MetricError naming its 0-based index."""
+    bad g-record, a g-record whose length is not the hypothesis's) raises
+    MetricError naming its 0-based index."""
     n = len(references)
     if not (len(sources) == len(hypotheses) == len(g_records) == n):
         raise MetricError("corpus size mismatch across inputs")
@@ -144,8 +145,11 @@ def evaluate_run(
         raise MetricError("cannot evaluate an empty corpus")
 
     lags = []
-    for i, (src, g_rec) in enumerate(zip(sources, g_records)):
+    for i, (src, hyp, g_rec) in enumerate(zip(sources, hypotheses, g_records)):
         try:
+            if len(g_rec) != len(hyp):
+                raise MetricError(f"g-record length {len(g_rec)} does not match the "
+                                  f"hypothesis's {len(hyp)} tokens")
             lags.append(average_lagging(g_rec, len(src)))
         except MetricError as exc:
             raise MetricError(f"sentence {i}: {exc}") from None

@@ -31,9 +31,9 @@ Training attends as written: Q, K and V projections, scores over sqrt(d),
 the context times W_o (``_self_attend`` for the encoder and the decoder of
 a batch, ``_attn_forward`` for all three blocks), since its backward needs
 Q, K and V. Inference folds the weights instead. For each attention block
-a sentence cache takes ``KQ = W_k W_q' / sqrt(d)`` and ``VO = W_v W_o``
-once, when it opens, and keeps, per key row with input x0, the folded rows
-``x0 KQ`` and ``x0 VO``; stage 1 keeps the encoder output times the
+a session takes ``KQ = W_k W_q' / sqrt(d)`` and ``VO = W_v W_o`` once,
+when it opens, and a sentence cache keeps, per key row with input x0, the
+folded rows ``x0 KQ`` and ``x0 VO``; stage 1 keeps the encoder output times the
 cross-attention block's KQ and VO in place of the cross-attention keys and
 values. A query row x then needs one product for its scores (``x kq'``)
 and its output is ``softmax(x kq') vo + x``, with no Q projection, no
@@ -56,8 +56,19 @@ call, only the rows after the longest prefix it shares with the sentence.
 So an answer depends on one thing besides the query and the parameters: a
 UNIDIRECTIONAL prefix's encoder rows come from its sentence's full-source
 encoding. Every cache has its sentence, checked against ``max_len`` when
-it opens; a query outside a cache is its own sentence, with folds of its
-own. A repeated query in one cache gives identical bytes.
+it opens; a query outside a cache is its own sentence. A repeated query in
+one cache gives identical bytes.
+
+A session (``_session``) spans the caches of one frozen-parameter call: a
+sweep or a divergence matrix opens one around its probe memo, and a cache
+opened outside any session opens its own. Every cache in it takes the
+session's folds, and a cache of a sentence starts with the stage-1 rows of
+that sentence's own source when an earlier cache of the same sentence in
+the session built them; its other stores (sources with a pseudo-future,
+target prefixes) are dropped when it closes. The kept rows are 4 d floats
+per source token (1 KB at d = 32), dropped with the folds when the session
+ends. A cache computes those rows from the same folds and the same tokens
+either way, so an answer keeps its bytes.
 
 Every answer is within 1e-12 (max abs per probability) of the from-scratch
 per-query arithmetic, which runs every stage unfolded over all rows of the
@@ -65,10 +76,9 @@ whole query (``tests/pair_oracle.py``; at most 7.3e-15 measured on the bench
 checkpoints). It is not bit for bit: the folded products associate the
 weights in another order, and numpy may round a product over a slice or a
 single row differently from the same rows of a product over the whole
-block. No parameter may change inside one cache, since its folds are taken
-when it opens; a cache opened after a change folds the new parameters. The
-cache spans a sentence, not a sweep: it then holds one sentence's stages,
-while a sweep-wide cache grows the peak resident set with the corpus.
+block. No parameter may change inside one session, since its folds and
+kept rows are taken from the parameters it opened on; a session opened
+after a change folds the new parameters. Training opens none.
 
 Training runs the same stages once per batch, on (B, len, d) arrays padded
 to the batch's longest source and target, followed by one backward pass.
@@ -142,7 +152,8 @@ class MicroModel:
             params = {name: np.asarray(p, dtype=np.float64) for name, p in params.items()}
         self.params = params
         self._tri = np.tri(max_len, dtype=bool)  # sliced into every causal mask
-        self._stages = None  # _new_stages(...) while a sentence cache is open
+        self._scope = None  # (folds, kept sentence rows) while a session is open
+        self._stages = None  # the stage stores of the open sentence cache
 
     # -- forward: three stages (see the module docstring) -----------------
 
@@ -193,6 +204,36 @@ class MicroModel:
         return logits, relu, y3
 
     @contextmanager
+    def _session(self):
+        """A frozen-parameter scope for the sentence caches of the block.
+
+        Opening it folds the current parameters once (``_folds``); every
+        sentence cache inside takes those folds, and a cache of a sentence
+        starts with the stage-1 rows of that sentence's own source when an
+        earlier cache of the same sentence in the scope built them (one
+        sentence of n tokens keeps 4 n d floats). The parameters must not
+        change meanwhile. A session opened inside an open one is that one;
+        exit of the outer one drops the folds and the kept rows.
+        """
+        if self._scope is not None:
+            yield
+            return
+        self._scope = self._folds(), {}
+        try:
+            yield
+        finally:
+            self._scope = None
+
+    def _folds(self):
+        """Each attention block's folded weights under the current
+        parameters: ``KQ = W_k W_q' / sqrt(d)`` and ``VO = W_v W_o``."""
+        p = self.params
+        scale = np.sqrt(self.d)
+        return {block: (p[f"{block}_k"] @ p[f"{block}_q"].T / scale,
+                        p[f"{block}_v"] @ p[f"{block}_o"])
+                for block in ATTN_BLOCKS}
+
+    @contextmanager
     def _sentence_cache(self, source):
         """Share stages 1 and 2 among the ``next_dist`` queries of the block.
 
@@ -202,28 +243,24 @@ class MicroModel:
         shared prefix of every other source. A source longer than
         ``max_len`` raises CapacityError here, before any forward. The
         parameters must not change meanwhile. The owner of one sentence's
-        queries opens it, so it holds one sentence's stages. Opening folds
-        the current parameters and starts empty stores; exit drops them.
+        queries opens it, inside the open session or else in a session of
+        its own, whose folds it takes. Exit drops the stores, except that
+        the rows of ``source`` itself stay in the session for the next
+        cache of the same sentence.
         """
         sentence = tuple(source)
         self._check_query(sentence, 0)
-        self._stages = self._new_stages(sentence)
-        try:
-            yield
-        finally:
-            self._stages = None
-
-    def _new_stages(self, sentence: tuple[int, ...]):
-        """Empty stores of stages 1 and 2, the sentence whose encoding a
-        UNIDIRECTIONAL model's sources share (None for BIDIRECTIONAL), and
-        each attention block's folded weights under the current parameters:
-        ``KQ = W_k W_q' / sqrt(d)`` and ``VO = W_v W_o``."""
-        p = self.params
-        scale = np.sqrt(self.d)
-        folds = {block: (p[f"{block}_k"] @ p[f"{block}_q"].T / scale,
-                         p[f"{block}_v"] @ p[f"{block}_o"])
-                 for block in ATTN_BLOCKS}
-        return {}, {}, sentence if self.mode == UNIDIRECTIONAL else None, folds
+        with self._session():
+            folds, kept = self._scope
+            sources = {sentence: kept[sentence]} if sentence in kept else {}
+            self._stages = (sources, {}, sentence if self.mode == UNIDIRECTIONAL else None,
+                            folds)
+            try:
+                yield
+            finally:
+                self._stages = None
+                if sentence in sources:
+                    kept[sentence] = sources[sentence]
 
     def _source_rows(self, stages, src: tuple[int, ...]):
         """Stage 1 of a query, stored in ``stages``: the encoder's folded
@@ -389,13 +426,20 @@ class MicroModel:
 
         The decoder input is BOS followed by ``target_prefix``, and its last
         row sees the whole ``source_prefix``; stage 3 runs for that row
-        only. Stages 1 and 2 come from the open sentence cache, or from
-        stores of this query alone.
+        only. Stages 1 and 2 come from the open sentence cache, or from a
+        cache opened on this query's source alone.
         """
         src = tuple(source_prefix)
         tgt_in = (self.vocab.bos,) + tuple(target_prefix)
         self._check_query(src, len(tgt_in))
-        stages = self._stages if self._stages is not None else self._new_stages(src)
+        if self._stages is None:  # a query outside a cache is its own sentence
+            with self._sentence_cache(src):
+                return self._answer(src, tgt_in)
+        return self._answer(src, tgt_in)
+
+    def _answer(self, src: tuple[int, ...], tgt_in: tuple[int, ...]) -> Distribution:
+        """Stage 3 of a checked query, on stages 1 and 2 of the open cache."""
+        stages = self._stages
         cross = self._source_rows(stages, src)[2:]
         y1 = self._decoder_row(stages, tgt_in)[2]
         logits = self._feed_forward(_folded_attend(y1, *cross, None))[0]

@@ -206,7 +206,11 @@ class _ProbeMemo:
     encoder rows from its sentence's encoding, so a memo that spans
     sentences may hand one sentence an answer computed in another's cache.
     An owner therefore keeps a memo no longer than one call that does not
-    train (``run_sweep``, ``divergence_matrix``).
+    train (``run_sweep``, ``divergence_matrix``), and opens the model's
+    session (``_one_session``) for as long: the memo's sentence caches then
+    share one fold of the parameters, and each sentence's cache starts with
+    its source's encoding when an earlier cache of it built one. Both are
+    dropped when the call returns or raises.
     The stored ``Distribution`` is shared; its array is read-only. A query
     that raises stores nothing.
     """
@@ -241,6 +245,16 @@ def _one_sentence(model, source):
     """
     open_cache = getattr(model, "_sentence_cache", None)
     return open_cache(source) if open_cache is not None else contextlib.nullcontext()
+
+
+def _one_session(model):
+    """The model's frozen-parameter session, or a block that does nothing
+    when the model has none (``MicroModel._session``, found as
+    ``_one_sentence`` finds the sentence cache). Its owner changes no
+    parameter inside it; the session is dropped when the block ends or
+    raises."""
+    open_session = getattr(model, "_session", None)
+    return open_session() if open_session is not None else contextlib.nullcontext()
 
 
 def psfuture_divergence(model, source_prefix, target_prefix, suffix) -> float:
@@ -474,7 +488,7 @@ def divergence_matrix(
     n = len(pair.source)
     t_len = len(pair.target)
     values = np.zeros((t_len, n))
-    with _one_sentence(model, pair.source):
+    with _one_session(model), _one_sentence(model, pair.source):
         for ti in range(t_len):
             tgt_prefix = pair.target[:ti]
             for g in range(1, n + 1):

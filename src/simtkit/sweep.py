@@ -25,6 +25,7 @@ from .policy import (
     SimulationResult,
     _ProbeMemo,
     _check_lengths,
+    _one_session,
     divergence_matrix,
     simulate_sentence,
     simulate_waitk,
@@ -93,7 +94,9 @@ def run_sweep(
     Every sentence is checked against the model's ``max_len`` (when it has
     one) before the first cell runs. All cells send their queries through
     one probe memo, so a query asked again by a later decision, sentence or
-    cell costs no forward; the memo is dropped on return. A suffix's psfuture
+    cell costs no forward, and inside one session of the model, so the
+    parameters are folded once and each sentence's source is encoded once;
+    both are dropped on return. A suffix's psfuture
     cells run in the ascending lambda order ``SweepSpec`` requires, and each
     sentence of a cell gets its run in the cell before as ``after=``, so its
     decision loop takes the decisions that lambda shares with it from that
@@ -112,16 +115,17 @@ def run_sweep(
         _check_lengths(model, pair.source, suffixes, max_target_len=spec.max_target_len,
                        sentence=i)
     memo = _ProbeMemo(model)
-    if spec.policy == "waitk":
-        results = [_run_cell(memo, vocab, pairs, spec, k=k)[0] for k in spec.ks]
-    else:
-        results = []
-        for suffix in suffixes:
-            sims = None
-            for lam in spec.lambdas:
-                row, sims = _run_cell(memo, vocab, pairs, spec, lam=lam, suffix=suffix,
-                                      after=sims)
-                results.append(row)
+    with _one_session(memo):
+        if spec.policy == "waitk":
+            results = [_run_cell(memo, vocab, pairs, spec, k=k)[0] for k in spec.ks]
+        else:
+            results = []
+            for suffix in suffixes:
+                sims = None
+                for lam in spec.lambdas:
+                    row, sims = _run_cell(memo, vocab, pairs, spec, lam=lam, suffix=suffix,
+                                          after=sims)
+                    results.append(row)
     results.sort(key=lambda r: (r.al, r.lambda_or_k, r.suffix))
     return results
 

@@ -361,11 +361,25 @@ def test_sweep_memo_changes_forwards_not_results(monkeypatch, world, policy):
 
 
 def test_sweep_memo_does_not_outlive_the_call():
+    """Neither the memo nor the model's session (its folds and kept source
+    rows) outlives a sweep that returns or raises: a sweep after training
+    equals one on a fresh model with the trained parameters."""
     vocab, pairs, model = micro_world()
     spec = SweepSpec(policy="psfuture", lambdas=CELL_LAMBDAS[micro_world][:2],
                      suffixes=("eos",), r_max=4, max_target_len=12, seed=1)
     before = run_sweep(model, vocab, pairs, spec)
     assert before[0].al != before[1].al  # the cells differ across lambda
+    assert model._scope is None and model._stages is None
+
+    class FailsLate(CountingModel):
+        def next_dist(self, source_prefix, target_prefix):
+            if self.forwards == 40:  # in a later sentence of the first cell
+                raise NumericError("non-finite values in logits")
+            return super().next_dist(source_prefix, target_prefix)
+
+    with pytest.raises(RuntimeError, match="at sentence [1-9]"):
+        run_sweep(FailsLate(model), vocab, pairs, spec)
+    assert model._scope is None and model._stages is None
     _, grads = model.loss_and_grads([(p.source, p.target, "full") for p in pairs])
     sgd_step(model, grads, lr=5.0)
     after = run_sweep(model, vocab, pairs, spec)
@@ -389,14 +403,25 @@ def assert_equal_but_divergences_within_1e12(sims, want_sims):
             assert got_div is None or abs(got_div - want_div) <= 1e-12
 
 
+class NoCache:
+    """Passes on a model's ``next_dist`` and ``max_len`` alone, so the policy
+    finds no session and no sentence cache: every query is its own
+    sentence."""
+
+    def __init__(self, model):
+        self.next_dist, self.max_len = model.next_dist, model.max_len
+
+
 @pytest.mark.parametrize("mode", [BIDIRECTIONAL, UNIDIRECTIONAL])
 def test_sentence_cache_reaches_the_model_through_wrappers(monkeypatch, mode):
-    """Sweeps and divergence matrices open one sentence cache per sentence,
-    on its source, on the model behind the counting wrapper and the sweep's
-    probe memo. It changes no result and not the number of forwards asked,
-    except that a UNIDIRECTIONAL divergence may move by at most 1e-12: a
-    prefix then reads its sentence's full-source encoding. A BIDIRECTIONAL
-    source is encoded whole either way, so its results keep every bit."""
+    """Sweeps and divergence matrices open one session per call, which folds
+    the parameters once, and one sentence cache per sentence, on its source,
+    on the model behind the counting wrapper and the sweep's probe memo.
+    They change no result and not the number of forwards asked, except that
+    a UNIDIRECTIONAL divergence may move by at most 1e-12: a prefix then
+    reads its sentence's full-source encoding. A BIDIRECTIONAL source is
+    encoded whole either way, so its results keep every bit. Without them,
+    each forward folds for itself."""
     vocab, pairs, _ = copy_world(n_pairs=5)
     model = MicroModel(vocab, d=8, max_len=16, mode=mode, seed=4)
     psfuture = SweepSpec(policy="psfuture", lambdas=CELL_LAMBDAS[micro_world][:2],
@@ -404,7 +429,7 @@ def test_sentence_cache_reaches_the_model_through_wrappers(monkeypatch, mode):
                          random_top_k=6)
     waitk = SweepSpec(policy="waitk", ks=(1, 3), max_target_len=12)
 
-    def run():
+    def run(model):
         sweeps = [sweep_recorded(monkeypatch, model, vocab, pairs, spec)
                   for spec in (psfuture, waitk)]
         counting = CountingModel(model)
@@ -412,21 +437,29 @@ def test_sentence_cache_reaches_the_model_through_wrappers(monkeypatch, mode):
                     .values for pair in pairs]
         return sweeps, matrices, counting.forwards
 
-    opened = []
-    open_cache = MicroModel._sentence_cache
+    opened, folded = [], []
+    open_cache, folds = MicroModel._sentence_cache, MicroModel._folds
 
     def recorded(self, source):
         opened.append((self, source))
         return open_cache(self, source)
 
+    def counted(self):
+        folded.append(self)
+        return folds(self)
+
     monkeypatch.setattr(MicroModel, "_sentence_cache", recorded)
-    cached = run()
+    monkeypatch.setattr(MicroModel, "_folds", counted)
+    cached = run(model)
     # 4 psfuture and 2 wait-k cells of 5 sentences, then 5 matrices
     sources = [pair.source for pair in pairs]
     assert opened == [(model, source) for source in sources * 6 + sources]
-    monkeypatch.delattr(MicroModel, "_sentence_cache")
-    alone = run()
+    assert folded == [model] * (2 + len(pairs))  # two sweeps, then the matrices
+    assert model._scope is None and model._stages is None
+    del opened[:], folded[:]
+    alone = run(NoCache(model))
     assert cached[2] == alone[2]
+    assert len(opened) == len(folded) == sum(forwards for _, _, forwards in alone[0]) + alone[2]
     if mode == BIDIRECTIONAL:
         assert cached[0] == alone[0]
         assert [m.tobytes() for m in cached[1]] == [m.tobytes() for m in alone[1]]

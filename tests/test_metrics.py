@@ -190,6 +190,25 @@ def test_evaluate_run_rejects_empty_hypothesis_naming_the_sentence():
         evaluate_run(vocab, [src, src], [good, good], [good, ()], [[4, 4, 4, 4], []])
 
 
+@pytest.mark.parametrize("g_record, error", [
+    ((1, 2, 3, 4, 5, 6), None),
+    ((1, 2, 3, 4, 5, 5, 5, 5, 6), "g-record length 9"),
+    ((1, 2), "g-record length 2"),
+])
+def test_evaluate_run_checks_each_g_record_against_its_hypothesis(g_record, error):
+    """One g per hypothesis token: a longer or shorter g-record, whose AL
+    alone would be defined, raises MetricError naming the sentence."""
+    vocab = make_vocab()
+    src = (3, 4, 5, 6, 7, 1)
+    if error is None:
+        res = evaluate_run(vocab, [src, src], [src, src], [src, src], [g_record, g_record])
+        assert res.al == 1.0
+        return
+    with pytest.raises(MetricError, match=f"^sentence 1: {error} does not match the "
+                                          f"hypothesis's 6 tokens$"):
+        evaluate_run(vocab, [src, src], [src, src], [src, src], [(1, 2, 3, 4, 5, 6), g_record])
+
+
 def test_eval_result_csv_row_shape():
     row = EvalResult(policy="waitk", lambda_or_k=3, suffix="", r_max=None,
                      al=3.0, bleu=100.0, hr=None, n_sentences=5, seed=1).csv_row()

@@ -16,10 +16,12 @@ from simtkit import (
     NumericError,
     PolicyConfig,
     SentencePair,
+    SweepSpec,
     UNIDIRECTIONAL,
     build_vocabulary,
     divergence_matrix,
     load_model,
+    run_sweep,
     save_model,
     sgd_step,
     simulate_sentence,
@@ -93,8 +95,13 @@ def sentence_runs(draw):
     prefixes and prefixes plus an ``eos``, ``oracle`` or random suffix (one
     that may start with the source's next token), a source that shares no
     prefix with the sentence, and a hypothesis that grows by one token."""
+    source = tuple(draw(st.lists(st.integers(3, 6), min_size=1, max_size=7))) + (1,)  # EOS last
+    return source, _run_queries(draw, source)
+
+
+def _run_queries(draw, source):
+    """The queries of a run over ``source``, drawn as in ``sentence_runs``."""
     token = st.integers(3, 6)
-    source = tuple(draw(st.lists(token, min_size=1, max_size=7))) + (1,)  # EOS last
     n, hyp, queries = len(source), (), []
     for _ in range(draw(st.integers(1, 12))):
         j = draw(st.integers(1, n))
@@ -106,7 +113,7 @@ def sentence_runs(draw):
         queries.append((src, hyp))
         if len(hyp) < 10 and draw(st.booleans()):
             hyp += (draw(token),)
-    return source, queries
+    return queries
 
 
 @pytest.mark.parametrize("mode", sorted(CACHE_MODELS))
@@ -126,17 +133,94 @@ def test_a_sentence_cache_answers_a_run_within_1e12_of_the_oracle(mode, run):
     assert [p.tobytes() for p in again] == [p.tobytes() for p in got]
 
 
+@st.composite
+def session_runs(draw):
+    """Runs over sentences in turn, as one session holds them: a sentence
+    drawn again, one that shares a prefix with an earlier one, or an
+    unrelated one, each with the queries of a run over it."""
+    token = st.integers(3, 6)
+    sentences, runs = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["again", "shared", "unrelated"])) if sentences else ""
+        if kind == "again":
+            sentence = draw(st.sampled_from(sentences))
+        elif kind == "shared":
+            base = draw(st.sampled_from(sentences))
+            cut = draw(st.integers(1, min(len(base), 7)))
+            sentence = base[:cut] + tuple(draw(st.lists(token, max_size=7 - cut))) + (1,)
+        else:
+            sentence = tuple(draw(st.lists(token, min_size=1, max_size=7))) + (1,)
+        sentences.append(sentence)
+        runs.append((sentence, _run_queries(draw, sentence)))
+    return runs
+
+
+class Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("mode", sorted(CACHE_MODELS))
+@settings(max_examples=60, deadline=None)
+@given(runs=session_runs(), stop=st.none() | st.tuples(st.integers(0, 4), st.integers(0, 11)))
+# a pseudo source of one sentence that is the next sentence itself: its rows
+# differ in the last bits between the two caches on the UNIDIRECTIONAL model
+@example(runs=[((3, 3, 3, 3, 1), [((3, 1), (4, 6))]), ((3, 1), [((3, 1), (4, 6))])], stop=None)
+def test_a_session_answers_as_fresh_caches_and_folds_once(mode, runs, stop):
+    """Sentence caches in one session answer each query with the bytes a
+    fresh cache of the same sentence gives. The session folds once, and a
+    sentence's own source is encoded whole once however often its cache
+    opens. Nothing of the session remains after it exits, by return or by
+    an exception (at the (cache, query) index ``stop``) mid-sentence. At
+    d = 32 a UNIDIRECTIONAL source's rows often differ in their last bits
+    between two sentences' caches, so a session that kept them across
+    sentences would show here."""
+    m = small_model(mode=mode, seed=12, d=32)
+    want = []
+    for sentence, queries in runs:
+        for query in queries:
+            with m._sentence_cache(sentence):
+                want.append(m.next_dist(*query).probs.tobytes())
+    folds, encode_rows = m._folds, m._encode_rows
+    folded, whole = [], []
+
+    def counted_folds():
+        folded.append(1)
+        return folds()
+
+    def recorded_encode_rows(folds, src, before):
+        if src == current:  # the source of the open cache's sentence, which it keeps
+            whole.append(src)
+        return encode_rows(folds, src, before)
+
+    m._folds, m._encode_rows = counted_folds, recorded_encode_rows
+    got = []
+    try:
+        with m._session():
+            for c, (current, queries) in enumerate(runs):
+                with m._sentence_cache(current):
+                    for q, query in enumerate(queries):
+                        if (c, q) == stop:
+                            raise Stop
+                        got.append(m.next_dist(*query).probs.tobytes())
+    except Stop:
+        pass
+    assert m._scope is None and m._stages is None
+    assert got == want[:len(got)]
+    assert folded == [1]
+    assert len(whole) == len(set(whole))
+
+
 def test_sentence_cache_is_dropped_on_exit():
     m = small_model(mode=UNIDIRECTIONAL)
     with m._sentence_cache((3, 4, 1)):
         m.next_dist((3, 4, 1), (5,))
         m.next_dist((3, 4), (5,))
-    assert m._stages is None
+    assert m._stages is None and m._scope is None
     with pytest.raises(CapacityError):
         with m._sentence_cache((3, 4, 1)):
             m.next_dist((3, 4, 1), (5,))
             m.next_dist((3,) * 20, ())
-    assert m._stages is None
+    assert m._stages is None and m._scope is None
     # a wrapper that declares no max_len gets no length check from the
     # policy, so the cache rejects its too-long sentence before any forward
     class Undeclared:
@@ -189,24 +273,63 @@ def _write_in_place(m):
             m.params[f"{block}_{proj}"][...] = 3.0 * m.params[f"{block}_{proj}"]
 
 
+def _in_a_cache(m, sentence, queries):
+    with m._sentence_cache(sentence):
+        return [(q, m.next_dist(*q).probs) for q in queries]
+
+
+def _in_a_session(m, sentence, queries):
+    with m._session():
+        with m._sentence_cache(sentence):
+            m.next_dist(*queries[0])  # keeps the sentence's rows for the next cache
+        with m._sentence_cache(sentence):
+            return [(q, m.next_dist(*q).probs) for q in queries]
+
+
+def _in_a_sweep(m, sentence, queries):
+    """The distinct queries a sweep over ``sentence`` asks, with their answers."""
+    class Recorded:
+        def __init__(self):
+            self.answers = []
+
+        def next_dist(self, *query):
+            dist = m.next_dist(*query)
+            self.answers.append((query, dist.probs))
+            return dist
+
+        def __getattr__(self, name):
+            return getattr(m, name)
+
+    recorded = Recorded()
+    pair = SentencePair(source=sentence, target=(5, 4, 1))
+    for spec in (SweepSpec("psfuture", lambdas=(0.0, 1.0), suffixes=("eos",), max_target_len=6),
+                 SweepSpec("waitk", ks=(1, 2), max_target_len=6)):
+        run_sweep(recorded, m.vocab, [pair], spec)
+    return recorded.answers
+
+
 @pytest.mark.parametrize("mode", [BIDIRECTIONAL, UNIDIRECTIONAL])
-@pytest.mark.parametrize("change", [_train_step, _set_params, _write_in_place])
-def test_a_new_cache_folds_the_parameters_it_opens_on(mode, change):
-    """Parameters changed between two caches, by an SGD step, set_params or
-    a write into a tensor: the second cache answers from the new parameters,
-    within 1e-12 of the from-scratch arithmetic, and not from folds of the
-    old ones."""
+@pytest.mark.parametrize("opened, change", [
+    pytest.param(opened, change, id=change.__name__ + ("" if opened is _in_a_cache else
+                                                       opened.__name__))
+    for opened in (_in_a_cache, _in_a_session, _in_a_sweep)
+    for change in (_train_step, _set_params, _write_in_place)])
+def test_a_new_cache_folds_the_parameters_it_opens_on(mode, opened, change):
+    """Parameters changed between two caches, two sessions or two sweeps,
+    by an SGD step, set_params or a write into a tensor: the second answers
+    from the new parameters, within 1e-12 of the from-scratch arithmetic,
+    and not from folds or source rows of the old ones."""
     m = small_model(mode=mode, seed=5)
     sentence = (3, 4, 5, 1)
     queries = [(sentence[:2], ()), (sentence, (5,)), (sentence[:3] + (1,), (5, 4))]
-    with m._sentence_cache(sentence):
-        before = [m.next_dist(*q).probs for q in queries]
+    opened(m, sentence, queries)
+    old = MicroModel(m.vocab, d=m.d, max_len=m.max_len, mode=mode, params=m.clone_params())
     change(m)
-    with m._sentence_cache(sentence):
-        after = [m.next_dist(*q).probs for q in queries]
-    for probs, old, query in zip(after, before, queries):
+    after = opened(m, sentence, queries)
+    assert len(after) >= len(queries)
+    for query, probs in after:
         assert np.abs(probs - pair_oracle.next_dist(m, *query)).max() <= 1e-12
-        assert np.abs(probs - old).max() > 1e-9
+        assert np.abs(probs - pair_oracle.next_dist(old, *query)).max() > 1e-9
 
 
 @pytest.mark.parametrize("mode", [BIDIRECTIONAL, UNIDIRECTIONAL])
