@@ -32,24 +32,24 @@ the context times W_o (``_self_attend`` for the encoder and the decoder of
 a batch, ``_attn_forward`` for all three blocks), since its backward needs
 Q, K and V. Inference folds the weights instead. For each attention block
 a session takes ``KQ = W_k W_q' / sqrt(d)`` and ``VO = W_v W_o`` once,
-when it opens, and a sentence cache keeps, per key row with input x0, the
-folded rows ``x0 KQ`` and ``x0 VO``; stage 1 keeps the encoder output times the
+when it opens. A key row with input x0 then has the folded rows ``x0 KQ``
+and ``x0 VO``; stage 1 keeps the encoder's, and the encoder output times the
 cross-attention block's KQ and VO in place of the cross-attention keys and
 values. A query row x then needs one product for its scores (``x kq'``)
 and its output is ``softmax(x kq') vo + x``, with no Q projection, no
 division by sqrt(d) and no product with W_o. One helper
-(``_folded_attend``) serves an inference query's new encoder rows, its one
-new decoder row and the head's cross-attention.
+(``_folded_attend``) serves an inference query's new encoder rows, its last
+decoder row and the head's cross-attention.
 
 Inference (``next_dist``) runs the stages incrementally, as STACL (Ma et
-al. 2019) and efficient wait-k (Elbayad et al. 2020) do. Stage 2 adds the
-decoder rows one at a time, each on the stored folded rows of the rows
-before it, so a row's arithmetic does not depend on what was stored
-before; stage 3 runs on the last row only. Inside
-``_sentence_cache(source)``, which the policy code opens around each
-sentence, each distinct source and target prefix runs its stage once: the
-two probes of a PsFuture decision share stage 2, and the rows of a
-divergence matrix share stage 1. For a UNIDIRECTIONAL model the cache
+al. 2019) and efficient wait-k (Elbayad et al. 2020) do. Stage 2 keeps
+only the self-attention output of the last decoder row, d floats. Its key
+rows' folded rows depend on their tokens and positions alone, so a new
+decoder input takes them all again, in one stacked (L, 1, d) product per
+fold that rounds each row as a one-row product does. Stage 3 runs on the
+last row only. Inside ``_sentence_cache(source)``, which the policy code
+opens around each sentence, each distinct source runs stage 1 once, and the
+rows of a divergence matrix share it. For a UNIDIRECTIONAL model the cache
 encodes the sentence's full source once. A prefix of it reads its first
 rows, and any other source (a prefix plus a pseudo-future) encodes, in one
 call, only the rows after the longest prefix it shares with the sentence.
@@ -64,11 +64,14 @@ sweep or a divergence matrix opens one around its probe memo, and a cache
 opened outside any session opens its own. Every cache in it takes the
 session's folds, and a cache of a sentence starts with the stage-1 rows of
 that sentence's own source when an earlier cache of the same sentence in
-the session built them; its other stores (sources with a pseudo-future,
-target prefixes) are dropped when it closes. The kept rows are 4 d floats
-per source token (1 KB at d = 32), dropped with the folds when the session
-ends. A cache computes those rows from the same folds and the same tokens
-either way, so an answer keeps its bytes.
+the session built them; its other stage-1 rows (sources with a
+pseudo-future) are dropped when it closes. Stage 2 runs once per distinct
+decoder input in the whole session: the two probes of a PsFuture decision
+share it, and so do the sentences and cells of a sweep that reach the same
+hypothesis prefix. The session keeps 4 d floats per source token and d
+floats per decoder input (1 KB and 256 bytes at d = 32), dropped with the
+folds when it ends. Each of them is computed from the same folds and the
+same tokens in any cache, so an answer keeps its bytes.
 
 Every answer is within 1e-12 (max abs per probability) of the from-scratch
 per-query arithmetic, which runs every stage unfolded over all rows of the
@@ -76,9 +79,9 @@ whole query (``tests/pair_oracle.py``; at most 7.3e-15 measured on the bench
 checkpoints). It is not bit for bit: the folded products associate the
 weights in another order, and numpy may round a product over a slice or a
 single row differently from the same rows of a product over the whole
-block. No parameter may change inside one session, since its folds and
-kept rows are taken from the parameters it opened on; a session opened
-after a change folds the new parameters. Training opens none.
+block. No parameter may change inside one session, since everything it
+keeps is taken from the parameters it opened on; a session opened after a
+change folds the new parameters. Training opens none.
 
 Training runs the same stages once per batch, on (B, len, d) arrays padded
 to the batch's longest source and target, followed by one backward pass.
@@ -152,7 +155,7 @@ class MicroModel:
             params = {name: np.asarray(p, dtype=np.float64) for name, p in params.items()}
         self.params = params
         self._tri = np.tri(max_len, dtype=bool)  # sliced into every causal mask
-        self._scope = None  # (folds, kept sentence rows) while a session is open
+        self._scope = None  # (folds, kept sentence rows, decoder outputs) in a session
         self._stages = None  # the stage stores of the open sentence cache
 
     # -- forward: three stages (see the module docstring) -----------------
@@ -167,25 +170,11 @@ class MicroModel:
         out, parts = _attn_forward(x0, k, v, p, block, allowed)
         return out, (x0, x0, k, v, *parts)
 
-    def _attend_rows(self, folds, block: str, ids, at, before, allowed):
-        """One inference self-attention step of ``block`` on its folded
-        weights ``folds[block]``: embed ``ids`` at positions ``at``, append
-        their folded rows (``x0 KQ`` and ``x0 VO``) to ``before``, those of
-        the rows before them, and attend from the new rows under
-        ``allowed``. Returns every row's folded rows and the new rows'
-        output. ``ids`` is a query's new encoder rows (L,) or its one new
-        decoder row (a scalar, so that row's arithmetic stays 1-D)."""
-        p = self.params
-        x0 = p["embed"][ids] + p["pos"][at]
-        kq, vo = (np.concatenate((mine, (x0 @ w).reshape(-1, self.d)))
-                  for mine, w in zip(before, folds[block]))
-        return kq, vo, _folded_attend(x0, kq, vo, allowed)
-
     def _cross_kv(self, henc, weights):
         """Stage 1's last step: the encoder output ``henc`` times each of
         ``weights`` (the cross-attention key and value projections, or their
         folds), once it is checked finite."""
-        if not np.isfinite(henc).all():
+        if not np.logical_and.reduce(np.isfinite(henc), axis=None):
             raise NumericError("non-finite values in encoder output")
         return tuple(henc @ w for w in weights)
 
@@ -199,7 +188,7 @@ class MicroModel:
         y3 = relu @ p["ff_w2"]
         y3 += y2
         logits = y3 @ p["out_proj"]
-        if not np.isfinite(logits).all():
+        if not np.logical_and.reduce(np.isfinite(logits), axis=None):
             raise NumericError("non-finite values in logits")
         return logits, relu, y3
 
@@ -211,14 +200,17 @@ class MicroModel:
         sentence cache inside takes those folds, and a cache of a sentence
         starts with the stage-1 rows of that sentence's own source when an
         earlier cache of the same sentence in the scope built them (one
-        sentence of n tokens keeps 4 n d floats). The parameters must not
-        change meanwhile. A session opened inside an open one is that one;
-        exit of the outer one drops the folds and the kept rows.
+        sentence of n tokens keeps 4 n d floats). Stage 2 is the session's
+        too: each distinct decoder input runs it once for every cache
+        inside, which keeps its last row's output (d floats). The
+        parameters must not change meanwhile. A session opened inside an
+        open one is that one; exit of the outer one drops the folds, the
+        kept rows and the decoder outputs.
         """
         if self._scope is not None:
             yield
             return
-        self._scope = self._folds(), {}
+        self._scope = self._folds(), {}, {}
         try:
             yield
         finally:
@@ -235,26 +227,25 @@ class MicroModel:
 
     @contextmanager
     def _sentence_cache(self, source):
-        """Share stages 1 and 2 among the ``next_dist`` queries of the block.
+        """Share stage 1 among the ``next_dist`` queries of the block.
 
-        Inside the block a stage runs once per distinct source (stage 1) or
-        decoder input (stage 2). For a UNIDIRECTIONAL model, the sentence
-        ``source`` is encoded whole once and serves its prefixes and the
-        shared prefix of every other source. A source longer than
-        ``max_len`` raises CapacityError here, before any forward. The
-        parameters must not change meanwhile. The owner of one sentence's
-        queries opens it, inside the open session or else in a session of
-        its own, whose folds it takes. Exit drops the stores, except that
-        the rows of ``source`` itself stay in the session for the next
-        cache of the same sentence.
+        Inside the block stage 1 runs once per distinct source; stage 2
+        runs once per distinct decoder input in the whole session. For a
+        UNIDIRECTIONAL model, the sentence ``source`` is encoded whole once
+        and serves its prefixes and the shared prefix of every other
+        source. A source longer than ``max_len`` raises CapacityError here,
+        before any forward. The parameters must not change meanwhile. The
+        owner of one sentence's queries opens it, inside the open session or
+        else in a session of its own, whose folds it takes. Exit drops the
+        stage-1 store, except that the rows of ``source`` itself stay in the
+        session for the next cache of the same sentence.
         """
         sentence = tuple(source)
         self._check_query(sentence, 0)
         with self._session():
-            folds, kept = self._scope
+            folds, kept, _ = self._scope
             sources = {sentence: kept[sentence]} if sentence in kept else {}
-            self._stages = (sources, {}, sentence if self.mode == UNIDIRECTIONAL else None,
-                            folds)
+            self._stages = (sources, sentence if self.mode == UNIDIRECTIONAL else None, folds)
             try:
                 yield
             finally:
@@ -268,7 +259,7 @@ class MicroModel:
         position of ``src``. The positions ``src`` shares with the sentence
         come from the sentence's encoding; the rest are encoded in one
         call."""
-        sources, _, sentence, folds = stages
+        sources, sentence, folds = stages
         rows = sources.get(src)
         if rows is None:
             shared = 0
@@ -286,28 +277,27 @@ class MicroModel:
     def _encode_rows(self, folds, src: tuple[int, ...], before):
         """The (encoder kq, encoder vo, cross kq, cross vo) rows of every
         position of ``src``, given ``before``, those of its first positions:
-        the encoder attends from each later position to the rows of both."""
+        embed the later positions, append their folded rows (``x0 KQ`` and
+        ``x0 VO``) to those of ``before``, and attend from each of them."""
         start, end = len(before[0]), len(src)
+        p = self.params
+        x0 = p["embed"][np.asarray(src[start:])] + p["pos"][start:end]
+        kq, vo = (np.concatenate((mine, x0 @ w)) for mine, w in zip(before[:2], folds["enc"]))
         allowed = self._tri[start:end, :end] if self.mode == UNIDIRECTIONAL else None
-        kq, vo, henc = self._attend_rows(folds, "enc", np.asarray(src[start:]),
-                                         slice(start, end), before[:2], allowed)
+        henc = _folded_attend(x0, kq, vo, allowed)
         cross_kq, cross_vo = self._cross_kv(henc, folds["dec_cross"])
         return kq, vo, np.concatenate((before[2], cross_kq)), np.concatenate((before[3], cross_vo))
 
-    def _decoder_row(self, stages, tgt_in: tuple[int, ...]):
-        """Stage 2 of a query, stored in ``stages``: the decoder's folded
-        self-attention rows of every row of ``tgt_in`` and the
-        self-attention output of its last row. The last row is computed
-        alone, on the stored rows of ``tgt_in[:-1]``."""
-        prefixes = stages[1]
-        rows = prefixes.get(tgt_in)
-        if rows is None:
-            r = len(tgt_in) - 1
-            before = self._decoder_row(stages, tgt_in[:-1])[:2] if r else \
-                (np.empty((0, self.d)),) * 2
-            rows = prefixes[tgt_in] = \
-                self._attend_rows(stages[3], "dec_self", tgt_in[-1], r, before, None)
-        return rows
+    def _decoder_row(self, folds, tgt_in: tuple[int, ...]):
+        """Stage 2 of a query on the session's ``folds``: the decoder
+        self-attention output of the last row of ``tgt_in``, which depends
+        on ``tgt_in`` and the parameters alone. Every row's folded rows are
+        one stacked (L, 1, d) product per fold, which rounds each row as
+        the one-row product does; a plain (L, d) product would not."""
+        p = self.params
+        x0 = p["embed"][np.asarray(tgt_in)] + p["pos"][:len(tgt_in)]
+        kq, vo = ((x0[:, None] @ w).reshape(-1, self.d) for w in folds["dec_self"])
+        return _folded_attend(x0[-1], kq, vo, None)
 
     def _check_query(self, src: tuple[int, ...], rows: int, limits="full"):
         """Check a query of source ``src`` and ``rows`` decoder rows, and
@@ -438,10 +428,13 @@ class MicroModel:
         return self._answer(src, tgt_in)
 
     def _answer(self, src: tuple[int, ...], tgt_in: tuple[int, ...]) -> Distribution:
-        """Stage 3 of a checked query, on stages 1 and 2 of the open cache."""
-        stages = self._stages
-        cross = self._source_rows(stages, src)[2:]
-        y1 = self._decoder_row(stages, tgt_in)[2]
+        """Stage 3 of a checked query, on stage 1 of the open cache and
+        stage 2 of its session."""
+        cross = self._source_rows(self._stages, src)[2:]
+        folds, _, decoded = self._scope
+        y1 = decoded.get(tgt_in)
+        if y1 is None:
+            y1 = decoded[tgt_in] = self._decoder_row(folds, tgt_in)
         logits = self._feed_forward(_folded_attend(y1, *cross, None))[0]
         return Distribution(_softmax_rows(logits))
 

@@ -208,9 +208,10 @@ class _ProbeMemo:
     An owner therefore keeps a memo no longer than one call that does not
     train (``run_sweep``, ``divergence_matrix``), and opens the model's
     session (``_one_session``) for as long: the memo's sentence caches then
-    share one fold of the parameters, and each sentence's cache starts with
-    its source's encoding when an earlier cache of it built one. Both are
-    dropped when the call returns or raises.
+    share one fold of the parameters and one stage-2 output per distinct
+    target prefix, whatever source it is asked with, and each sentence's
+    cache starts with its source's encoding when an earlier cache of it
+    built one. All three are dropped when the call returns or raises.
     The stored ``Distribution`` is shared; its array is read-only. A query
     that raises stores nothing.
     """

@@ -361,15 +361,25 @@ def test_sweep_memo_changes_forwards_not_results(monkeypatch, world, policy):
 
 
 def test_sweep_memo_does_not_outlive_the_call():
-    """Neither the memo nor the model's session (its folds and kept source
-    rows) outlives a sweep that returns or raises: a sweep after training
-    equals one on a fresh model with the trained parameters."""
+    """Neither the memo nor the model's session (its folds, kept source rows
+    and decoder outputs) outlives a sweep that returns or raises: stage 2
+    runs once per distinct decoder input of a sweep, and again in the next
+    sweep, and a sweep after training equals one on a fresh model with the
+    trained parameters."""
     vocab, pairs, model = micro_world()
+    decoder_row, decoded, bos = model._decoder_row, [], (vocab.bos,)
+
+    def recorded(folds, tgt_in):
+        decoded.append(tgt_in)
+        return decoder_row(folds, tgt_in)
+
+    model._decoder_row = recorded
     spec = SweepSpec(policy="psfuture", lambdas=CELL_LAMBDAS[micro_world][:2],
                      suffixes=("eos",), r_max=4, max_target_len=12, seed=1)
     before = run_sweep(model, vocab, pairs, spec)
     assert before[0].al != before[1].al  # the cells differ across lambda
     assert model._scope is None and model._stages is None
+    assert len(set(decoded)) == len(decoded) > 1 and decoded.count(bos) == 1
 
     class FailsLate(CountingModel):
         def next_dist(self, source_prefix, target_prefix):
@@ -380,6 +390,7 @@ def test_sweep_memo_does_not_outlive_the_call():
     with pytest.raises(RuntimeError, match="at sentence [1-9]"):
         run_sweep(FailsLate(model), vocab, pairs, spec)
     assert model._scope is None and model._stages is None
+    assert decoded.count(bos) == 2
     _, grads = model.loss_and_grads([(p.source, p.target, "full") for p in pairs])
     sgd_step(model, grads, lr=5.0)
     after = run_sweep(model, vocab, pairs, spec)
@@ -387,6 +398,7 @@ def test_sweep_memo_does_not_outlive_the_call():
                        params={name: p.copy() for name, p in model.params.items()})
     assert after == run_sweep(fresh, vocab, pairs, spec)
     assert after != before
+    assert decoded.count(bos) == 3
 
 
 def assert_equal_but_divergences_within_1e12(sims, want_sims):
@@ -421,10 +433,12 @@ def test_sentence_cache_reaches_the_model_through_wrappers(monkeypatch, mode):
     a UNIDIRECTIONAL divergence may move by at most 1e-12: a prefix then
     reads its sentence's full-source encoding. A BIDIRECTIONAL source is
     encoded whole either way, so its results keep every bit. Without them,
-    each forward folds for itself."""
+    each forward folds for itself. The model is d = 32: at d = 8 the
+    rounding that tells two sentences' caches apart seldom shows."""
     vocab, pairs, _ = copy_world(n_pairs=5)
-    model = MicroModel(vocab, d=8, max_len=16, mode=mode, seed=4)
-    psfuture = SweepSpec(policy="psfuture", lambdas=CELL_LAMBDAS[micro_world][:2],
+    model = MicroModel(vocab, d=32, max_len=16, mode=mode, seed=4)
+    # this untrained model's divergences lie near 1e-7: these split its decisions
+    psfuture = SweepSpec(policy="psfuture", lambdas=(1e-7, 3e-7),
                          suffixes=("eos", "random"), r_max=4, max_target_len=12, seed=3,
                          random_top_k=6)
     waitk = SweepSpec(policy="waitk", ks=(1, 3), max_target_len=12)

@@ -54,7 +54,9 @@ def test_uniform_model_loss_is_log_vocab():
 
 # -- the sentence cache of stages 1 and 2 -------------------------------------
 
-CACHE_MODELS = {mode: small_model(mode=mode, seed=12) for mode in (BIDIRECTIONAL, UNIDIRECTIONAL)}
+# d = 32: at d = 8 the rounding that tells two sentences' caches apart seldom shows
+CACHE_MODELS = {mode: small_model(mode=mode, seed=12, d=32)
+                for mode in (BIDIRECTIONAL, UNIDIRECTIONAL)}
 
 
 @st.composite
@@ -159,6 +161,35 @@ class Stop(Exception):
     pass
 
 
+def _fresh_answers(m, runs):
+    """The bytes of each query of ``runs`` in a fresh cache of its sentence."""
+    want = []
+    for sentence, queries in runs:
+        for query in queries:
+            with m._sentence_cache(sentence):
+                want.append(m.next_dist(*query).probs.tobytes())
+    return want
+
+
+def _session_answers(m, runs, stop, opening=lambda sentence: None):
+    """The bytes of the queries of ``runs`` in one session, up to the
+    exception raised at the (cache, query) index ``stop``; ``opening`` sees
+    each sentence before its cache opens."""
+    got = []
+    try:
+        with m._session():
+            for c, (sentence, queries) in enumerate(runs):
+                opening(sentence)
+                with m._sentence_cache(sentence):
+                    for q, query in enumerate(queries):
+                        if (c, q) == stop:
+                            raise Stop
+                        got.append(m.next_dist(*query).probs.tobytes())
+    except Stop:
+        pass
+    return got
+
+
 @pytest.mark.parametrize("mode", sorted(CACHE_MODELS))
 @settings(max_examples=60, deadline=None)
 @given(runs=session_runs(), stop=st.none() | st.tuples(st.integers(0, 4), st.integers(0, 11)))
@@ -175,52 +206,85 @@ def test_a_session_answers_as_fresh_caches_and_folds_once(mode, runs, stop):
     between two sentences' caches, so a session that kept them across
     sentences would show here."""
     m = small_model(mode=mode, seed=12, d=32)
-    want = []
-    for sentence, queries in runs:
-        for query in queries:
-            with m._sentence_cache(sentence):
-                want.append(m.next_dist(*query).probs.tobytes())
+    want = _fresh_answers(m, runs)
     folds, encode_rows = m._folds, m._encode_rows
-    folded, whole = [], []
+    folded, whole, current = [], [], []
 
     def counted_folds():
         folded.append(1)
         return folds()
 
     def recorded_encode_rows(folds, src, before):
-        if src == current:  # the source of the open cache's sentence, which it keeps
+        if src == current[-1]:  # the source of the open cache's sentence, which it keeps
             whole.append(src)
         return encode_rows(folds, src, before)
 
     m._folds, m._encode_rows = counted_folds, recorded_encode_rows
-    got = []
-    try:
-        with m._session():
-            for c, (current, queries) in enumerate(runs):
-                with m._sentence_cache(current):
-                    for q, query in enumerate(queries):
-                        if (c, q) == stop:
-                            raise Stop
-                        got.append(m.next_dist(*query).probs.tobytes())
-    except Stop:
-        pass
+    got = _session_answers(m, runs, stop, opening=current.append)
     assert m._scope is None and m._stages is None
     assert got == want[:len(got)]
     assert folded == [1]
     assert len(whole) == len(set(whole))
 
 
+def _record_stage_2(m):
+    """The list to which each stage-2 run of ``m`` appends its decoder input."""
+    decoder_row, decoded = m._decoder_row, []
+
+    def recorded(folds, tgt_in):
+        decoded.append(tgt_in)
+        return decoder_row(folds, tgt_in)
+
+    m._decoder_row = recorded
+    return decoded
+
+
+@pytest.mark.parametrize("mode", sorted(CACHE_MODELS))
+@settings(max_examples=60, deadline=None)
+@given(runs=session_runs(), stop=st.none() | st.tuples(st.integers(0, 4), st.integers(0, 11)))
+# two sentences whose runs ask the same decoder inputs
+@example(runs=[((3, 4, 1), [((3,), ()), ((3, 4), (5,))]), ((6, 1), [((6,), ()), ((6, 1), (5,))])],
+         stop=None)
+def test_a_session_runs_stage_2_once_per_decoder_input(mode, runs, stop):
+    """Stage 2 runs once per distinct decoder input (BOS + target prefix)
+    across every sentence cache of a session, when the input is first
+    asked, and each answer has the bytes of a fresh one-sentence cache: a
+    decoder row depends on its input and the parameters alone. Nothing of
+    the session (its folds, kept source rows and decoder outputs) remains
+    after it exits, by return or by an exception mid-sentence, so the next
+    session runs stage 2 again."""
+    m = small_model(mode=mode, seed=12, d=32)
+    want = _fresh_answers(m, runs)
+    decoded = _record_stage_2(m)
+    got = _session_answers(m, runs, stop)
+    assert m._scope is None and m._stages is None
+    assert got == want[:len(got)]
+    asked = [(m.vocab.bos,) + target for _, queries in runs for _, target in queries][:len(got)]
+    assert decoded == list(dict.fromkeys(asked))
+    sentence, queries = runs[0]
+    with m._sentence_cache(sentence):
+        m.next_dist(*queries[0])
+    assert decoded[len(set(asked)):] == [(m.vocab.bos,) + queries[0][1]]
+
+
 def test_sentence_cache_is_dropped_on_exit():
+    """A cache and its own session keep nothing after they exit, by return
+    or by an exception: the next cache runs stage 2 again."""
     m = small_model(mode=UNIDIRECTIONAL)
+    decoded, row = _record_stage_2(m), (m.vocab.bos, 5)
     with m._sentence_cache((3, 4, 1)):
         m.next_dist((3, 4, 1), (5,))
         m.next_dist((3, 4), (5,))
     assert m._stages is None and m._scope is None
+    assert decoded == [row]  # once for both sources
     with pytest.raises(CapacityError):
         with m._sentence_cache((3, 4, 1)):
             m.next_dist((3, 4, 1), (5,))
             m.next_dist((3,) * 20, ())
     assert m._stages is None and m._scope is None
+    with m._sentence_cache((3, 4, 1)):
+        m.next_dist((3, 4, 1), (5,))
+    assert decoded == [row] * 3
     # a wrapper that declares no max_len gets no length check from the
     # policy, so the cache rejects its too-long sentence before any forward
     class Undeclared:
