@@ -60,8 +60,8 @@ it opens; a query outside a cache is its own sentence. A repeated query in
 one cache gives identical bytes.
 
 A session (``_session``) spans the caches of one frozen-parameter call: a
-sweep or a divergence matrix opens one around its probe memo, and a cache
-opened outside any session opens its own. Every cache in it takes the
+sweep opens one around its probe memo, and a cache opened outside any
+session (a divergence matrix's) opens its own. Every cache in it takes the
 session's folds, and a cache of a sentence starts with the stage-1 rows of
 that sentence's own source when an earlier cache of the same sentence in
 the session built them; its other stage-1 rows (sources with a
@@ -471,10 +471,16 @@ class MicroModel:
             self.params[name][...] = val
 
 
+def _check_lr(lr: float) -> None:
+    """Raise ConfigError unless the learning rate is finite and >= 0."""
+    if not 0.0 <= lr < np.inf:  # NaN fails too
+        raise ConfigError(f"lr={lr} must be finite and >= 0")
+
+
 def sgd_step(model: MicroModel, grads: dict[str, np.ndarray], lr: float) -> None:
-    """In-place params -= lr * grads, re-checking finiteness afterwards."""
-    if lr < 0:
-        raise ConfigError("learning rate must be non-negative")
+    """In-place params -= lr * grads, re-checking finiteness afterwards; the
+    learning rate is checked before any tensor changes."""
+    _check_lr(lr)
     for name, g in grads.items():
         model.params[name] -= lr * g
         if not np.isfinite(model.params[name]).all():

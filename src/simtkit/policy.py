@@ -206,12 +206,13 @@ class _ProbeMemo:
     encoder rows from its sentence's encoding, so a memo that spans
     sentences may hand one sentence an answer computed in another's cache.
     An owner therefore keeps a memo no longer than one call that does not
-    train (``run_sweep``, ``divergence_matrix``), and opens the model's
-    session (``_one_session``) for as long: the memo's sentence caches then
-    share one fold of the parameters and one stage-2 output per distinct
-    target prefix, whatever source it is asked with, and each sentence's
-    cache starts with its source's encoding when an earlier cache of it
-    built one. All three are dropped when the call returns or raises.
+    train (``run_sweep``, ``divergence_matrix``). ``run_sweep`` opens the
+    model's session (``_one_session``) for as long: the memo's sentence
+    caches then share one fold of the parameters and one stage-2 output per
+    distinct target prefix, whatever source it is asked with, and each
+    sentence's cache starts with its source's encoding when an earlier cache
+    of it built one. All three are dropped when the call returns or raises.
+    A divergence matrix's one sentence cache opens a session of its own.
     The stored ``Distribution`` is shared; its array is read-only. A query
     that raises stores nothing.
     """
@@ -273,40 +274,6 @@ class SimulationResult:
     truncated: bool
 
 
-def _shared(after: SimulationResult | None, lam: float) -> list[dict]:
-    """The records of ``after`` that a run at ``lam`` shares with it: those
-    before its first plain read whose divergence is ``<= lam``."""
-    records = [] if after is None else after.trace
-    for i, rec in enumerate(records):
-        if rec["kind"] == READ and "reason" not in rec and rec["divergence"] <= lam:
-            return records[:i]
-    return records
-
-
-def _check_shared(rec: dict, step: int, j: int, n: int, forced: str | None,
-                  cfg: PolicyConfig) -> None:
-    """Raise ConfigError naming ``step`` if no run at ``cfg`` could hold the
-    shared record ``rec`` where the steps before it leave cursor ``j`` and
-    force reason ``forced``."""
-    if rec["j"] > n:
-        raise ConfigError(f"after= step {step}: j={rec['j']} lies beyond "
-                          f"the {n}-token source")
-    if rec["j"] != j:
-        start = "the run starts at min(initial_prefix, len(source))"
-        raise ConfigError(f"after= step {step}: j={rec['j']}, but "
-                          f"{start if step == 1 else 'the steps before it leave'} j={j}")
-    reason = rec.get("reason")
-    carried = reason if reason in (RMAX, EXHAUSTED) else None
-    if carried != forced:
-        raise ConfigError(f"after= step {step}: a decision forced by {carried or 'nothing'}, "
-                          f"where this run is forced by {forced or 'nothing'} "
-                          f"(r_max={cfg.r_max!r}), from a run with other settings")
-    if reason in (THRESHOLD, EOS_DEFERRED) and rec["divergence"] > cfg.lam:
-        raise ConfigError(f"after= step {step}: a {reason} decision at divergence "
-                          f"{rec['divergence']!r} > lam={cfg.lam!r}, "
-                          f"from a run at a larger lambda")
-
-
 def simulate_sentence(
     model,
     vocab: Vocabulary,
@@ -322,15 +289,17 @@ def simulate_sentence(
     which both measures the divergence and supplies the written token. Only
     an unforced decision draws a suffix and asks the pseudo probe.
 
-    ``after``, when given, is this sentence's run with the same suffix at a
-    lambda no larger than ``cfg.lam`` (in a sweep, the previous cell's). Its
-    records before its first plain read whose divergence is ``<= cfg.lam``
-    come out the same at ``cfg.lam``: the loop takes each, as a new dict, in
-    place of a query (a random suffix's generator takes its draw) and passes
-    it through the same length guard and transition, so the result equals a
-    run without ``after`` and leaves ``rng`` in the same state. A record whose
-    cursor, force reason or divergence this run could not hold raises
-    ConfigError naming its step, before the first forward.
+    ``after``, when given, is a run of this sentence with the same model,
+    suffix and generator seed, under any settings (in a sweep, the previous
+    lambda cell's); nothing checks this. A step takes the next record of
+    ``after``, as a new dict, in place of a query when that record makes this
+    step's decision: its cursor is the loop's, the force reason it carries
+    (RMAX or EXHAUSTED, else none) is the one the loop's state sets, and,
+    unforced, it has a reason exactly when its divergence is ``<= cfg.lam``.
+    A random suffix's generator still takes the draw of an unforced record.
+    The first record that fails ends the taking, and the loop queries from
+    there, so the result equals a run without ``after`` and leaves ``rng`` in
+    the same state.
 
     The trace holds one record per decision: kind R/W, the cursor at
     decision time, the divergence when one was computed, the force reason
@@ -344,7 +313,7 @@ def simulate_sentence(
     _check_lengths(model, source, (suffix_spec,), max_target_len=cfg.max_target_len)
 
     n = len(source)
-    shared = _shared(after, cfg.lam)
+    shared = () if after is None else after.trace
     j = min(cfg.initial_prefix, n)   # consumed source tokens
     r_c = 1  # consecutive reads; the initial prefix counts as one
     hyp: tuple[int, ...] = ()
@@ -360,12 +329,15 @@ def simulate_sentence(
             step = len(trace) + 1
             forced = EXHAUSTED if j >= n else \
                 RMAX if cfg.r_max is not None and r_c >= cfg.r_max else None
-            if step <= len(shared):
-                record = dict(shared[step - 1])
-                _check_shared(record, step, j, n, forced, cfg)
+            rec = shared[step - 1] if step <= len(shared) else {}
+            reason = rec.get("reason")
+            if rec.get("j") == j and (reason if reason in (RMAX, EXHAUSTED) else None) == forced \
+                    and (forced or (rec["divergence"] <= cfg.lam) == (reason is not None)):
+                record = dict(rec)
                 if forced is None and isinstance(suffix_spec, RandomSuffix):
-                    _draw(suffix_spec, rng)  # the draw the shared decision took
+                    _draw(suffix_spec, rng)  # the draw the taken decision took
             else:
+                shared = ()  # the first record that fails ends the taking
                 plain = model.next_dist(source[:j], hyp)
                 reason, divergence = forced, None
                 if forced is None:
@@ -419,8 +391,9 @@ def simulate_sentence(
 
 def waitk_g(t: int, k: int, n: int) -> int:
     """Source tokens read before writing target token t: min(t+k-1, n)."""
-    if t < 1 or k < 1 or n < 1:
-        raise ConfigError("t, k, n must all be >= 1")
+    for name, value in (("t", t), ("k", k), ("n", n)):
+        if value < 1:
+            raise ConfigError(f"{name}={value} must be >= 1")
     return min(t + k - 1, n)
 
 
@@ -464,7 +437,7 @@ class DivergenceMatrix:
     values: np.ndarray  # (T, N)
 
     def __post_init__(self):
-        if np.any(self.values < 0.0) or np.any(self.values > 1.0):
+        if not np.logical_and(self.values >= 0.0, self.values <= 1.0).all():  # NaN fails too
             raise ValueError("divergence entries must lie in [0, 1]")
 
 
@@ -489,7 +462,7 @@ def divergence_matrix(
     n = len(pair.source)
     t_len = len(pair.target)
     values = np.zeros((t_len, n))
-    with _one_session(model), _one_sentence(model, pair.source):
+    with _one_sentence(model, pair.source):
         for ti in range(t_len):
             tgt_prefix = pair.target[:ti]
             for g in range(1, n + 1):

@@ -5,10 +5,10 @@ one sentence after another, and emits one EvalResult row per cell, sorted
 by AL. Each sentence's RNG is ``sentence_rng(seed, sentence index)``, so
 a cell or a sentence re-run on its own agrees byte for byte with the full
 sweep. Two things make a sweep cheaper without changing a result: the probe
-memo answers each distinct query once, and each psfuture cell after a
-suffix's first gives ``simulate_sentence`` each sentence's run at the
-previous (smaller) lambda as ``after``, whose decision loop takes the
-decisions a larger lambda cannot change from that run instead of querying.
+memo answers each distinct query once, and a suffix's psfuture cells run in
+ascending lambda, each after the first giving ``simulate_sentence`` each
+sentence's run at the previous lambda as ``after``, whose decision loop takes
+the decisions that run shares with it instead of querying.
 """
 
 from __future__ import annotations
@@ -61,8 +61,6 @@ class SweepSpec:
         if self.policy == "psfuture":
             if not self.lambdas:
                 raise ConfigError("psfuture sweep requires a non-empty lambda list")
-            if list(self.lambdas) != sorted(self.lambdas):
-                raise ConfigError("lambda list must be sorted ascending")
             if not self.suffixes:
                 raise ConfigError("psfuture sweep requires at least one suffix")
         elif not self.ks or any(k < 1 for k in self.ks):
@@ -97,11 +95,11 @@ def run_sweep(
     cell costs no forward, and inside one session of the model, so the
     parameters are folded once and each sentence's source is encoded once;
     both are dropped on return. A suffix's psfuture
-    cells run in the ascending lambda order ``SweepSpec`` requires, and each
-    sentence of a cell gets its run in the cell before as ``after=``, so its
-    decision loop takes the decisions that lambda shares with it from that
-    run instead of making them again. Every cell and sentence still goes
-    through ``simulate_sentence``, in cell order, and returns its full trace.
+    cells run in ascending lambda, and each sentence of a cell gets its run
+    in the cell before as ``after=``, so its decision loop takes the
+    decisions that lambda shares with it from that run instead of making
+    them again. Every cell and sentence still goes through
+    ``simulate_sentence``, in cell order, and returns its full trace.
     """
     if not pairs:
         raise ConfigError("sweep corpus is empty")
@@ -122,7 +120,7 @@ def run_sweep(
             results = []
             for suffix in suffixes:
                 sims = None
-                for lam in spec.lambdas:
+                for lam in sorted(spec.lambdas):
                     row, sims = _run_cell(memo, vocab, pairs, spec, lam=lam, suffix=suffix,
                                           after=sims)
                     results.append(row)

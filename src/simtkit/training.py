@@ -19,14 +19,13 @@ loss curves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .core import ConfigError, NumericError, SentencePair
-from .micro import MicroModel, UNIDIRECTIONAL, sgd_step
+from .micro import MicroModel, UNIDIRECTIONAL, _check_lr, sgd_step
 from .policy import _check_lengths, waitk_g
 
 REGIMES = ("offline", "multipath", "p2f")
@@ -53,8 +52,7 @@ class TrainConfig:
             raise ConfigError("k_choices must be non-empty with every k >= 1")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs >= 0 and batch_size >= 1 required")
-        if not 0.0 <= self.lr < math.inf:  # NaN fails too
-            raise ConfigError(f"lr={self.lr} must be finite and >= 0")
+        _check_lr(self.lr)
         if self.seed < 0:
             raise ConfigError(f"seed={self.seed} must be >= 0")
 

@@ -2,8 +2,8 @@
 the benchmark patches (``sweep.simulate_sentence``, ``sweep.evaluate_run``,
 ``policy.psfuture_divergence``, the model's ``next_dist``), which a change
 to ``src/`` could move. ``testpaths`` covers ``tests/`` only, so this runs
-``bench/test_bench.py`` in a subprocess of its own, and the span check below
-likewise, with ``bench/`` on the path."""
+``bench/test_bench.py`` in a subprocess of its own, and the span and golden
+checks below likewise, with ``bench/`` on the path."""
 
 import json
 import os
@@ -84,3 +84,33 @@ def test_every_bench_span_a_run_reaches_records_calls():
     assert set(recorded["matrix"]) == answers | {
         "policy.psfuture_divergence", "policy.cosine_divergence", "policy.make_suffix"}
     assert set(recorded["epoch"]) == {"micro.loss_and_grads", "micro.sgd_step"}
+
+
+# One untraced pass of each workload on input set 0, checked as bench/run.py
+# checks every pass; prints {workload: [attempted, failed]}.
+GOLDENS_SCRIPT = """
+import json
+import tempfile
+import run
+import workloads
+from harness import Calibrator, Tracer
+
+checked = {}
+for name, wl in workloads.WORKLOADS.items():
+    with tempfile.TemporaryDirectory() as work:
+        inputs = wl.setup(work, 0, {})
+    res, *_ = run.one_pass(wl, inputs, Tracer(enabled=False), Calibrator(None))
+    checked[name] = wl.check(res.outputs, run.load_golden(name, 0))
+print(json.dumps(checked))
+"""
+
+
+def test_one_pass_of_each_workload_matches_its_golden():
+    """A change to ``src/`` that moves a benchmark output (a sweep row, a
+    sentence's hypothesis or g-record, a divergence matrix, a training loss)
+    fails here, not only in a benchmark run."""
+    proc = _run_with_bench("-c", GOLDENS_SCRIPT)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    checked = json.loads(proc.stdout.splitlines()[-1])
+    assert sorted(checked) == ["divergence-micro", "sweep-micro", "sweep-table", "train-micro"]
+    assert all(attempted > 0 and failed == 0 for attempted, failed in checked.values()), checked

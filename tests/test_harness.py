@@ -12,6 +12,7 @@ from simtkit import (
     BIDIRECTIONAL,
     ConfigError,
     Distribution,
+    EvalResult,
     MicroModel,
     NumericError,
     PolicyConfig,
@@ -248,46 +249,46 @@ def test_sweep_cell_independence(monkeypatch):
 @pytest.mark.parametrize("world", [table_world, micro_world])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_replaying_a_smaller_lambda_equals_the_solo_run(world, data):
-    """A run given ``after=`` (the same sentence at a smaller lambda, under an
-    ``r_max`` and a ``max_target_len`` of its own) equals the run without it,
-    leaves the generator where it leaves it, and shares no trace record with
-    ``after``; or, only when the two ``r_max`` differ, it raises ConfigError
-    before its first forward."""
+def test_any_after_of_the_sentence_gives_the_solo_run(world, data):
+    """A run given ``after=`` (the same sentence, suffix and generator seed,
+    under a lambda, ``r_max``, initial prefix and ``max_target_len`` of its
+    own) equals the run without it, leaves the generator where it leaves it,
+    shares no trace record with ``after`` and asks no more forwards; none
+    when ``after`` ran under the same settings."""
     vocab, pairs, model = world()
     source = data.draw(st.sampled_from(pairs)).source
     suffix = suffix_from_name(data.draw(st.sampled_from(["eos", "oracle", "random", "unk-eos"])),
                               vocab, random_top_k=6)
-    # max_target_len below most lengths + 1: truncates
-    limits = st.tuples(st.sampled_from([None, 1, 4]), st.integers(1, 12))
-    r_max, max_target_len = data.draw(limits)
-    after_limits = data.draw(st.just((r_max, max_target_len)) | limits)
+    # max_target_len below most lengths + 1: truncates; initial_prefix past some sources
+    loop_settings = st.tuples(st.sampled_from([None, 1, 4]), st.integers(1, 9),
+                              st.integers(1, 12))
+    limits = data.draw(loop_settings)
+    after_limits = data.draw(st.just(limits) | loop_settings)
     seed = data.draw(st.integers(0, 2**32 - 1))
 
-    def run(lam, limits=(r_max, max_target_len), after=None, model=model):
+    def run(lam, limits=limits, after=None):
+        counting = CountingModel(model)
         rng = np.random.default_rng(seed)
-        cfg = PolicyConfig(lam=lam, r_max=limits[0], max_target_len=limits[1])
-        sim = simulate_sentence(model, vocab, cfg, suffix, source, rng=rng, after=after)
-        return sim, rng.bit_generator.state
+        cfg = PolicyConfig(lam=lam, r_max=limits[0], initial_prefix=limits[1],
+                           max_target_len=limits[2])
+        sim = simulate_sentence(counting, vocab, cfg, suffix, source, rng=rng, after=after)
+        return sim, rng.bit_generator.state, counting.forwards
 
     # the divergences this sentence meets at either end of the scale, so the
     # lambdas fall between them, or on them, on both models' scales
     met = sorted({rec["divergence"] for lam in (-1.0, 2.0) for rec in run(lam)[0].trace
                   if rec.get("divergence") is not None})
     lam = st.sampled_from(met) | st.floats(-0.1, 1.1) if met else st.floats(-0.1, 1.1)
-    lam_a, lam_b = sorted((data.draw(lam), data.draw(lam)))
-    before, _ = run(lam_a, limits=after_limits)
+    lam_a, lam_b = data.draw(lam), data.draw(lam)
+    before, _, _ = run(lam_a, limits=after_limits)
     kept = copy.deepcopy(before)
-    solo, solo_state = run(lam_b)
-    counting = CountingModel(model)
-    try:
-        replayed, state = run(lam_b, after=before, model=counting)
-    except ConfigError as exc:
-        assert str(exc).startswith("after= step ") and counting.forwards == 0
-        assert after_limits[0] != r_max
-        return
+    solo, solo_state, solo_forwards = run(lam_b)
+    replayed, state, forwards = run(lam_b, after=before)
     assert replayed == solo
     assert state == solo_state
+    assert forwards <= solo_forwards
+    if (lam_a, after_limits) == (lam_b, limits):  # the whole run is taken
+        assert forwards == 0
     assert before == kept
     assert not {id(rec) for rec in replayed.trace} & {id(rec) for rec in before.trace}
 
@@ -307,37 +308,25 @@ def test_an_after_past_the_length_cap_gives_the_solo_run():
     assert simulate_sentence(model, vocab, capped, eos, source, after=long) == solo
 
 
-def test_a_bad_after_is_rejected_before_the_first_forward():
+def test_an_after_from_other_settings_gives_the_solo_run():
+    """An ``after`` from a larger lambda, another ``r_max`` or another initial
+    prefix, or one edited to hold a cursor past the source or off its step,
+    gives the run without it: its records that do not make the step's
+    decision are not taken."""
     vocab, pairs, model = table_world()
-    counting = CountingModel(model)
     source = pairs[0].source
     eos = suffix_from_name("eos", vocab)
     run_at_1 = simulate_sentence(model, vocab, PolicyConfig(lam=1.0, r_max=None), eos, source)
-    written = next(rec["step"] for rec in run_at_1.trace
-                   if rec.get("reason") in ("THRESHOLD", "EOS_DEFERRED"))
-    # a run at a larger lambda
-    with pytest.raises(ConfigError, match=rf"^after= step {written}: a (THRESHOLD|EOS_DEFERRED) "
-                                          r"decision at divergence .* > lam=-1\.0"):
-        simulate_sentence(counting, vocab, PolicyConfig(lam=-1.0), eos, source, after=run_at_1)
-    # an unbounded run, whose first decision is unforced, where r_max=1 forces it
-    with pytest.raises(ConfigError, match=r"^after= step 1: a decision forced by nothing, "
-                                          r"where this run is forced by RMAX \(r_max=1\)"):
-        simulate_sentence(counting, vocab, PolicyConfig(lam=1.0, r_max=1), eos, source,
-                          after=run_at_1)
-    # a run from another initial prefix
-    with pytest.raises(ConfigError, match=r"^after= step 1: j=2, but the run starts at "
-                                          r"min\(initial_prefix, len\(source\)\) j=3$"):
-        simulate_sentence(counting, vocab, PolicyConfig(lam=1.0, initial_prefix=3), eos, source,
-                          after=run_at_1)
-    # a record past the end of the source, and one that does not follow its step
-    for step, j, message in ((3, len(source) + 1, f"lies beyond the {len(source)}-token source"),
-                             (3, 0, "but the steps before it leave j=")):
+    edited = []
+    for step, j in ((3, len(source) + 1), (3, 0)):
         trace = [dict(rec) for rec in run_at_1.trace]
         trace[step - 1]["j"] = j
-        bad = dataclasses.replace(run_at_1, trace=trace)
-        with pytest.raises(ConfigError, match=rf"^after= step {step}: j={j}.*{message}"):
-            simulate_sentence(counting, vocab, PolicyConfig(lam=1.0), eos, source, after=bad)
-    assert counting.forwards == 0
+        edited.append((PolicyConfig(lam=1.0), dataclasses.replace(run_at_1, trace=trace)))
+    for cfg, after in [(PolicyConfig(lam=-1.0), run_at_1),  # a larger lambda
+                       (PolicyConfig(lam=1.0, r_max=1), run_at_1),  # unforced where RMAX forces
+                       (PolicyConfig(lam=1.0, initial_prefix=3), run_at_1), *edited]:
+        solo = simulate_sentence(model, vocab, cfg, eos, source)
+        assert simulate_sentence(model, vocab, cfg, eos, source, after=after) == solo
 
 
 @pytest.mark.parametrize("world", [table_world, micro_world])
@@ -510,8 +499,6 @@ def test_sweep_spec_validation():
     with pytest.raises(ConfigError):
         SweepSpec(policy="psfuture", lambdas=())
     with pytest.raises(ConfigError):
-        SweepSpec(policy="psfuture", lambdas=(0.2, 0.1))
-    with pytest.raises(ConfigError):
         SweepSpec(policy="waitk", ks=())
     with pytest.raises(ConfigError):
         SweepSpec(policy="mystery")
@@ -523,6 +510,22 @@ def test_sweep_spec_validation():
     # every lambda, before the first cell runs
     with pytest.raises(ConfigError, match="lam=nan must not be NaN"):
         SweepSpec(policy="psfuture", lambdas=(0.1, float("nan")))
+
+
+def test_a_lambda_list_in_any_order_gives_the_rows_of_the_sorted_list():
+    """Cells run in ascending lambda whatever the order of the list, and a
+    repeated lambda repeats its row."""
+    for world, lambdas in CELL_LAMBDAS.items():
+        vocab, pairs, model = world()
+        for lams in ((0.2, 0.1), tuple(lambdas[i] for i in (2, 0, 1)),
+                     tuple(lambdas[i] for i in (1, 2, 0, 1))):
+            rows = []
+            for order in (lams, tuple(sorted(lams))):
+                spec = SweepSpec(policy="psfuture", lambdas=order, suffixes=("eos", "random"),
+                                 r_max=4, max_target_len=12, seed=2, random_top_k=6)
+                lines = sweep_csv_lines(run_sweep(model, vocab, pairs, spec), spec)
+                rows.append(lines[lines.index(EvalResult.CSV_HEADER):])
+            assert rows[0] == rows[1] and len(rows[0]) == 1 + 2 * len(lams)
 
 
 def test_sweep_csv_echoes_config():

@@ -501,6 +501,16 @@ def test_sgd_step_detects_nonfinite():
         sgd_step(m, bad, lr=1.0)
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1.0])
+def test_sgd_step_rejects_a_bad_lr_before_touching_a_tensor(lr):
+    m = small_model()
+    before = {name: p.tobytes() for name, p in m.params.items()}
+    grads = {name: np.ones_like(p) for name, p in m.params.items()}
+    with pytest.raises(ConfigError, match=rf"^lr={lr} must be finite and >= 0$"):
+        sgd_step(m, grads, lr)
+    assert {name: p.tobytes() for name, p in m.params.items()} == before
+
+
 def test_capacity_and_limit_errors():
     m = small_model()
     src, tgt = (3, 4, 5, 6, 1), (3, 4, 5, 6, 1)

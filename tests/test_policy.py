@@ -8,6 +8,7 @@ import simtkit as sk
 from simtkit import (
     ConfigError,
     Distribution,
+    DivergenceMatrix,
     FixedSuffix,
     MicroModel,
     OracleSuffix,
@@ -440,8 +441,15 @@ def test_waitk_g_examples():
     assert waitk_g(1, 3, 10) == 3
     assert waitk_g(9, 3, 10) == 10
     assert waitk_g(5, 1, 10) == 5
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^t=0 must be >= 1$"):
         waitk_g(0, 1, 1)
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_simulate_waitk_names_a_bad_k(k):
+    vocab, pairs, model = _copy_setup(4, seed=2)
+    with pytest.raises(ConfigError, match=rf"^k={k} must be >= 1$"):
+        simulate_waitk(model, vocab, k, pairs[0].source)
 
 
 def test_simulate_waitk_hand_trace():
@@ -458,6 +466,13 @@ def test_simulate_waitk_hand_trace():
 
 
 # -- divergence matrices ------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1])
+def test_divergence_matrix_rejects_an_entry_outside_the_unit_interval(bad):
+    with pytest.raises(ValueError, match=r"^divergence entries must lie in \[0, 1\]$"):
+        DivergenceMatrix(values=np.array([[0.1, bad]]))
+    assert DivergenceMatrix(values=np.array([[0.0, 1.0]])).values.tolist() == [[0.0, 1.0]]
+
 
 def test_divergence_matrix_source_blind_all_zero():
     vocab = make_vocab()
