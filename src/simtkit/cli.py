@@ -272,7 +272,7 @@ def _cmd_simulate(args) -> int:
         raise ValueError("simulate needs --sentence or --src")
     core._no_empty_sentence(lines)  # the corpus loader's rules
     source = encode_sentence(tokens, vocab)
-    with core._on_line(index + 1):
+    with core._at(f"line {index + 1}"):
         core._validate_sequence("source", source, vocab)
     suffix = _suffix_spec(args, vocab)
     cfg = PolicyConfig(**{f.name: getattr(args, f.name)
@@ -370,7 +370,7 @@ def _cmd_eval(args) -> int:
         aligns = []
         for number, line in enumerate(
                 _line_aligned(args.hyp_align, "--hyp-align", len(hyp_lines)), start=1):
-            with core._on_line(number):
+            with core._at(f"line {number}"):
                 aligns.append(core.parse_alignment_line(line))
         hr = hallucination_rate(hyp_lines, aligns)
     row = EvalResult(policy="external", lambda_or_k=None, suffix="", r_max=None, al=al,

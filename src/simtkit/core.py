@@ -296,7 +296,7 @@ def _no_empty_sentence(*sides: Sequence[Sequence[str]]) -> None:
     sentence."""
     for number, line in enumerate(zip(*sides), start=1):
         if not all(line):
-            with _on_line(number):
+            with _at(f"line {number}"):
                 raise CorpusError("corpus contains an empty sentence")
 
 
@@ -325,13 +325,13 @@ def parse_alignment_line(line: str) -> frozenset[tuple[int, int]]:
 
 
 @contextmanager
-def _on_line(number: int):
-    """Put the 1-based corpus line ``number`` in front of a CorpusError the
-    block raises."""
+def _at(place: str):
+    """Put ``place`` (``"line 3"`` of a corpus file, ``"sentence 2"`` of a
+    list of pairs) in front of a CorpusError the block raises."""
     try:
         yield
     except CorpusError as exc:
-        raise CorpusError(f"line {number}: {exc}") from None
+        raise CorpusError(f"{place}: {exc}") from None
 
 
 def load_parallel_corpus(
@@ -362,7 +362,7 @@ def load_parallel_corpus(
 
     pairs = []
     for number, (src, tgt, align) in enumerate(zip(src_lines, tgt_lines, align_lines), start=1):
-        with _on_line(number):
+        with _at(f"line {number}"):
             pair = SentencePair(
                 source=encode_sentence(src, vocab),
                 target=encode_sentence(tgt, vocab),

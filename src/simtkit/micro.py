@@ -49,10 +49,12 @@ decoder input takes them all again, in one stacked (L, 1, d) product per
 fold that rounds each row as a one-row product does. Stage 3 runs on the
 last row only. Inside ``_sentence_cache(source)``, which the policy code
 opens around each sentence, each distinct source runs stage 1 once, and the
-rows of a divergence matrix share it. For a UNIDIRECTIONAL model the cache
-encodes the sentence's full source once. A prefix of it reads its first
-rows, and any other source (a prefix plus a pseudo-future) encodes, in one
-call, only the rows after the longest prefix it shares with the sentence.
+rows of a divergence matrix share it. The cache opens with the stage-1 rows
+of its sentence's full source in place. A UNIDIRECTIONAL source takes the
+rows of the longest prefix it shares with the sentence from those: a
+prefix of the sentence encodes nothing, and any other source (a prefix
+plus a pseudo-future) encodes, in one call, only the rows after the shared
+prefix. A BIDIRECTIONAL source other than the sentence is encoded whole.
 So an answer depends on one thing besides the query and the parameters: a
 UNIDIRECTIONAL prefix's encoder rows come from its sentence's full-source
 encoding. Every cache has its sentence, checked against ``max_len`` when
@@ -62,16 +64,17 @@ one cache gives identical bytes.
 A session (``_session``) spans the caches of one frozen-parameter call: a
 sweep opens one around its probe memo, and a cache opened outside any
 session (a divergence matrix's) opens its own. Every cache in it takes the
-session's folds, and a cache of a sentence starts with the stage-1 rows of
-that sentence's own source when an earlier cache of the same sentence in
-the session built them; its other stage-1 rows (sources with a
-pseudo-future) are dropped when it closes. Stage 2 runs once per distinct
-decoder input in the whole session: the two probes of a PsFuture decision
-share it, and so do the sentences and cells of a sweep that reach the same
-hypothesis prefix. The session keeps 4 d floats per source token and d
-floats per decoder input (1 KB and 256 bytes at d = 32), dropped with the
-folds when it ends. Each of them is computed from the same folds and the
-same tokens in any cache, so an answer keeps its bytes.
+session's folds. The session encodes each sentence's full source once, when
+the first cache of that sentence opens, and every later cache of the
+sentence opens on the same rows. A cache's other stage-1 rows (sources with
+a pseudo-future) are its own and are dropped when it closes. Stage 2 runs
+once per distinct decoder input in the whole session: the two probes of a
+PsFuture decision share it, and so do the sentences and cells of a sweep
+that reach the same hypothesis prefix. The session keeps 4 d floats per
+sentence token and d floats per decoder input (1 KB and 256 bytes at
+d = 32), dropped with the folds when it ends. Each of them is computed from
+the same folds and the same tokens in any cache, so an answer keeps its
+bytes.
 
 Every answer is within 1e-12 (max abs per probability) of the from-scratch
 per-query arithmetic, which runs every stage unfolded over all rows of the
@@ -155,8 +158,8 @@ class MicroModel:
             params = {name: np.asarray(p, dtype=np.float64) for name, p in params.items()}
         self.params = params
         self._tri = np.tri(max_len, dtype=bool)  # sliced into every causal mask
-        self._scope = None  # (folds, kept sentence rows, decoder outputs) in a session
-        self._stages = None  # the stage stores of the open sentence cache
+        self._scope = None  # (folds, sentence rows, decoder outputs) in a session
+        self._stages = None  # (stage-1 rows by source, sentence) of the open cache
 
     # -- forward: three stages (see the module docstring) -----------------
 
@@ -197,15 +200,15 @@ class MicroModel:
         """A frozen-parameter scope for the sentence caches of the block.
 
         Opening it folds the current parameters once (``_folds``); every
-        sentence cache inside takes those folds, and a cache of a sentence
-        starts with the stage-1 rows of that sentence's own source when an
-        earlier cache of the same sentence in the scope built them (one
-        sentence of n tokens keeps 4 n d floats). Stage 2 is the session's
-        too: each distinct decoder input runs it once for every cache
-        inside, which keeps its last row's output (d floats). The
-        parameters must not change meanwhile. A session opened inside an
-        open one is that one; exit of the outer one drops the folds, the
-        kept rows and the decoder outputs.
+        sentence cache inside takes those folds. The first cache of a
+        sentence encodes the sentence's full source into the session, and
+        every cache of that sentence opens on those rows (one sentence of n
+        tokens keeps 4 n d floats). Stage 2 is the session's too: each
+        distinct decoder input runs it once for every cache inside, which
+        keeps its last row's output (d floats). The parameters must not
+        change meanwhile. A session opened inside an open one is that one;
+        exit of the outer one drops the folds, the sentence rows and the
+        decoder outputs.
         """
         if self._scope is not None:
             yield
@@ -229,48 +232,48 @@ class MicroModel:
     def _sentence_cache(self, source):
         """Share stage 1 among the ``next_dist`` queries of the block.
 
-        Inside the block stage 1 runs once per distinct source; stage 2
-        runs once per distinct decoder input in the whole session. For a
-        UNIDIRECTIONAL model, the sentence ``source`` is encoded whole once
-        and serves its prefixes and the shared prefix of every other
-        source. A source longer than ``max_len`` raises CapacityError here,
-        before any forward. The parameters must not change meanwhile. The
-        owner of one sentence's queries opens it, inside the open session or
-        else in a session of its own, whose folds it takes. Exit drops the
-        stage-1 store, except that the rows of ``source`` itself stay in the
-        session for the next cache of the same sentence.
+        The cache opens with the stage-1 rows of the sentence ``source``
+        itself, which the session encodes once, when a cache of that
+        sentence first opens in it. Inside the block stage 1 runs once per
+        other distinct source, and stage 2 once per distinct decoder input
+        in the whole session. A source longer than ``max_len`` raises
+        CapacityError here, before any encoding. The parameters must not
+        change meanwhile. The owner of one sentence's queries opens it,
+        inside the open session or else in a session of its own, whose
+        folds it takes. Exit drops every stage-1 row the cache added; the
+        sentence's own rows stay with the session.
         """
         sentence = tuple(source)
         self._check_query(sentence, 0)
         with self._session():
-            folds, kept, _ = self._scope
-            sources = {sentence: kept[sentence]} if sentence in kept else {}
-            self._stages = (sources, sentence if self.mode == UNIDIRECTIONAL else None, folds)
+            folds, encoded, _ = self._scope
+            rows = encoded.get(sentence)
+            if rows is None:
+                rows = encoded[sentence] = self._encode_rows(
+                    folds, sentence, (np.empty((0, self.d)),) * 4)
+            self._stages = {sentence: rows}, sentence
             try:
                 yield
             finally:
                 self._stages = None
-                if sentence in sources:
-                    kept[sentence] = sources[sentence]
 
-    def _source_rows(self, stages, src: tuple[int, ...]):
-        """Stage 1 of a query, stored in ``stages``: the encoder's folded
+    def _source_rows(self, src: tuple[int, ...]):
+        """Stage 1 of a query in the open cache: the encoder's folded
         self-attention rows and the folded cross-attention rows of every
-        position of ``src``. The positions ``src`` shares with the sentence
-        come from the sentence's encoding; the rest are encoded in one
-        call."""
-        sources, sentence, folds = stages
+        position of ``src``. A UNIDIRECTIONAL source takes the rows of the
+        positions it shares with the sentence from the sentence's rows; the
+        rest are encoded in one call and kept for the cache."""
+        sources, sentence = self._stages
         rows = sources.get(src)
         if rows is None:
             shared = 0
-            if sentence is not None and src != sentence:
+            if self.mode == UNIDIRECTIONAL:
                 for mine, theirs in zip(src, sentence):
                     if mine != theirs:
                         break
                     shared += 1
-            before = tuple(a[:shared] for a in self._source_rows(stages, sentence)) \
-                if shared else (np.empty((0, self.d)),) * 4
-            rows = before if shared == len(src) else self._encode_rows(folds, src, before)
+            before = tuple(a[:shared] for a in sources[sentence])
+            rows = before if shared == len(src) else self._encode_rows(self._scope[0], src, before)
             sources[src] = rows
         return rows
 
@@ -424,13 +427,8 @@ class MicroModel:
         self._check_query(src, len(tgt_in))
         if self._stages is None:  # a query outside a cache is its own sentence
             with self._sentence_cache(src):
-                return self._answer(src, tgt_in)
-        return self._answer(src, tgt_in)
-
-    def _answer(self, src: tuple[int, ...], tgt_in: tuple[int, ...]) -> Distribution:
-        """Stage 3 of a checked query, on stage 1 of the open cache and
-        stage 2 of its session."""
-        cross = self._source_rows(self._stages, src)[2:]
+                return self.next_dist(src, target_prefix)
+        cross = self._source_rows(src)[2:]
         folds, _, decoded = self._scope
         y1 = decoded.get(tgt_in)
         if y1 is None:

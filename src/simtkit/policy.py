@@ -138,14 +138,12 @@ def make_suffix(
     j: int = 0,
 ) -> tuple[int, ...]:
     """Produce the pseudo-future token ids for one decision."""
+    _check_suffix(spec, vocab, rng)
     if isinstance(spec, FixedSuffix):
-        if not spec.tokens or spec.tokens[-1] != vocab.eos:
-            raise ConfigError("fixed suffix must end with EOS")
         return spec.tokens
     if isinstance(spec, RandomSuffix):
-        draws = _draw(spec, rng)
         pool = vocab.top_ranked_ids(spec.top_k)
-        return tuple(int(pool[i]) for i in draws)
+        return tuple(int(pool[i]) for i in _draw(spec, rng))
     if isinstance(spec, OracleSuffix):
         if full_source is None:
             raise ConfigError("oracle suffix requires the full source")
@@ -155,11 +153,25 @@ def make_suffix(
     raise ConfigError(f"unknown suffix spec {spec!r}")
 
 
-def _draw(spec: RandomSuffix, rng: np.random.Generator | None) -> np.ndarray:
+def _check_suffix(spec: SuffixSpec, vocab: Vocabulary,
+                  rng: np.random.Generator | None) -> None:
+    """Raise ConfigError unless ``spec`` can make its suffixes under
+    ``vocab`` and ``rng``: a fixed suffix ends with EOS, and a random one
+    has a generator and a ``top_k`` within the ranked tokens. Takes no draw
+    from ``rng``."""
+    if isinstance(spec, FixedSuffix):
+        if not spec.tokens or spec.tokens[-1] != vocab.eos:
+            raise ConfigError("fixed suffix must end with EOS")
+    elif isinstance(spec, RandomSuffix):
+        if rng is None:
+            raise ConfigError("random suffix requires a seeded rng")
+        vocab.top_ranked_ids(spec.top_k)  # raises when top_k is out of range
+
+
+def _draw(spec: RandomSuffix, rng: np.random.Generator) -> np.ndarray:
     """The ``spec.count`` ranks below ``spec.top_k`` that one random suffix
-    takes from ``rng``: the only use a decision makes of the generator."""
-    if rng is None:
-        raise ConfigError("random suffix requires a seeded rng")
+    takes from ``rng`` (checked by ``_check_suffix``): the only use a
+    decision makes of the generator."""
     return rng.integers(0, spec.top_k, size=spec.count)
 
 
@@ -208,11 +220,12 @@ class _ProbeMemo:
     An owner therefore keeps a memo no longer than one call that does not
     train (``run_sweep``, ``divergence_matrix``). ``run_sweep`` opens the
     model's session (``_one_session``) for as long: the memo's sentence
-    caches then share one fold of the parameters and one stage-2 output per
-    distinct target prefix, whatever source it is asked with, and each
-    sentence's cache starts with its source's encoding when an earlier cache
-    of it built one. All three are dropped when the call returns or raises.
-    A divergence matrix's one sentence cache opens a session of its own.
+    caches then share one fold of the parameters, one stage-2 output per
+    distinct target prefix, whatever source it is asked with, and one
+    encoding of each sentence's full source, which the session makes when
+    the first cache of that sentence opens and every later one opens on.
+    All three are dropped when the call returns or raises. A divergence
+    matrix's one sentence cache opens a session of its own.
     The stored ``Distribution`` is shared; its array is read-only. A query
     that raises stores nothing.
     """
@@ -305,12 +318,15 @@ def simulate_sentence(
     decision time, the divergence when one was computed, the force reason
     for writes, and the emitted token id for writes.
 
-    The source must be a valid side of a SentencePair (CorpusError otherwise),
-    and the run must fit the model's ``max_len`` (ConfigError otherwise).
+    The source must be a valid side of a SentencePair (CorpusError
+    otherwise). The run must fit the model's ``max_len``, and the suffix must
+    pass ``make_suffix``'s checks with ``rng`` (ConfigError otherwise). All
+    of this is checked before the first forward.
     """
     source = tuple(source)
     _validate_sequence("source", source, vocab)
     _check_lengths(model, source, (suffix_spec,), max_target_len=cfg.max_target_len)
+    _check_suffix(suffix_spec, vocab, rng)
 
     n = len(source)
     shared = () if after is None else after.trace

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConfigError, PolicyConfig, SentencePair, Vocabulary
+from .core import ConfigError, PolicyConfig, SentencePair, Vocabulary, _at, validate_pair
 from .metrics import EvalResult, evaluate_run
 from .policy import (
     RandomSuffix,
@@ -89,10 +89,11 @@ def run_sweep(
 ) -> list[EvalResult]:
     """One EvalResult row per sweep cell, sorted by AL.
 
-    Every sentence is checked against the model's ``max_len`` (when it has
-    one) before the first cell runs. All cells send their queries through
-    one probe memo, so a query asked again by a later decision, sentence or
-    cell costs no forward, and inside one session of the model, so the
+    Every pair is checked as ``validate_pair`` does (CorpusError naming the
+    sentence) and against the model's ``max_len`` (when it has one) before
+    the first cell runs. All cells send their queries through one probe
+    memo, so a query asked again by a later decision, sentence or cell
+    costs no forward, and inside one session of the model, so the
     parameters are folded once and each sentence's source is encoded once;
     both are dropped on return. A suffix's psfuture
     cells run in ascending lambda, and each sentence of a cell gets its run
@@ -110,6 +111,8 @@ def run_sweep(
                                      random_top_k=spec.random_top_k)
                     for name in spec.suffixes]
     for i, pair in enumerate(pairs):
+        with _at(f"sentence {i}"):
+            validate_pair(pair, vocab)
         _check_lengths(model, pair.source, suffixes, max_target_len=spec.max_target_len,
                        sentence=i)
     memo = _ProbeMemo(model)

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConfigError, NumericError, SentencePair
+from .core import ConfigError, NumericError, SentencePair, _at, validate_pair
 from .micro import MicroModel, UNIDIRECTIONAL, _check_lr, sgd_step
 from .policy import _check_lengths, waitk_g
 
@@ -98,17 +98,21 @@ class TrainResult:
 def train(model: MicroModel, corpus: Sequence[SentencePair], cfg: TrainConfig) -> TrainResult:
     """Run epochs of shuffled minibatch SGD under the configured regime.
 
-    The multipath regime's encoder and every pair's length against the
-    model's ``max_len`` are checked before the first step (ConfigError), so
-    a run that cannot train leaves the model as it was. On a NaN loss,
-    parameters are rolled back to the start of the epoch and NumericError is
-    raised (the rolled-back model is the last good state).
+    Before the first step, ``train`` checks the multipath regime's encoder
+    and every pair's length against the model's ``max_len`` (ConfigError),
+    and every pair as ``validate_pair`` does under the model's vocabulary
+    (CorpusError naming the sentence), so a run that cannot train leaves
+    the model as it was. On a NaN loss, parameters are rolled back to the
+    start of the epoch and NumericError is raised (the rolled-back model is
+    the last good state).
     """
     if not corpus:
         raise ConfigError("training corpus is empty")
     if cfg.regime == "multipath" and model.mode != UNIDIRECTIONAL:
         raise ConfigError("multipath wait-k training requires a UNIDIRECTIONAL encoder")
     for i, pair in enumerate(corpus):
+        with _at(f"sentence {i}"):
+            validate_pair(pair, model.vocab)
         _check_lengths(model, pair.source, target=pair.target, sentence=i)
     seeds = np.random.SeedSequence(cfg.seed).spawn(2)
     shuffle_rng = np.random.default_rng(seeds[0])

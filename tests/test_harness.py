@@ -130,6 +130,17 @@ def test_sweep_checks_the_random_suffix_before_the_first_cell():
     assert counting.forwards == 0
 
 
+def test_sweep_checks_each_pair_before_the_first_cell():
+    vocab, pairs, _ = copy_world(n_pairs=6)
+    counting = CountingModel(MicroModel(vocab, d=8, max_len=16, seed=1))
+    pairs[3] = SentencePair(source=pairs[3].source[:-1], target=pairs[3].target)
+    spec = SweepSpec(policy="psfuture", lambdas=(0.1,), suffixes=("eos",), max_target_len=16)
+    with pytest.raises(sk.CorpusError,
+                       match="^sentence 3: source sequence does not end with EOS$"):
+        run_sweep(counting, vocab, pairs, spec)
+    assert counting.forwards == 0
+
+
 def test_sweep_failure_names_the_sentence():
     vocab, pairs, model = long_source_world()
     # a model whose max_len is None declares no limit and gets no pre-flight;

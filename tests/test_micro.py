@@ -227,6 +227,33 @@ def test_a_session_answers_as_fresh_caches_and_folds_once(mode, runs, stop):
     assert len(whole) == len(set(whole))
 
 
+@pytest.mark.parametrize("mode", sorted(CACHE_MODELS))
+def test_a_cache_opens_on_its_sentences_rows_which_its_session_encodes_once(mode):
+    """A cache opened in a session holds its sentence's full-source rows
+    before its first query: the first cache of a sentence encodes it whole
+    as it opens, and no later cache of it in the session does. Neither the
+    sentence nor, on a UNIDIRECTIONAL model, its prefix encodes anything
+    when asked."""
+    m = small_model(mode=mode, seed=12, d=32)
+    encode_rows, encoded, opened = m._encode_rows, [], []
+
+    def recorded(folds, src, before):
+        encoded.append((src, len(before[0])))
+        return encode_rows(folds, src, before)
+
+    m._encode_rows = recorded
+    first, second = (3, 4, 5, 1), (3, 4, 1)
+    asked = [0, 1] if mode == UNIDIRECTIONAL else [0]
+    with m._session():
+        for sentence in (first, second, first, second):
+            with m._sentence_cache(sentence):
+                opened.append(encoded[:])
+                for cut in asked:
+                    m.next_dist(sentence[:len(sentence) - cut], (5,))
+    assert opened == [[(first, 0)], [(first, 0), (second, 0)]] + [[(first, 0), (second, 0)]] * 2
+    assert encoded == [(first, 0), (second, 0)]
+
+
 def _record_stage_2(m):
     """The list to which each stage-2 run of ``m`` appends its decoder input."""
     decoder_row, decoded = m._decoder_row, []
@@ -345,7 +372,7 @@ def _in_a_cache(m, sentence, queries):
 def _in_a_session(m, sentence, queries):
     with m._session():
         with m._sentence_cache(sentence):
-            m.next_dist(*queries[0])  # keeps the sentence's rows for the next cache
+            m.next_dist(*queries[0])  # the session keeps the sentence's rows for the next cache
         with m._sentence_cache(sentence):
             return [(q, m.next_dist(*q).probs) for q in queries]
 

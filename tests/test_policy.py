@@ -135,6 +135,26 @@ def test_random_suffix_requires_an_rng():
         divergence_matrix(model, vocab, pair, spec)
 
 
+@pytest.mark.parametrize("spec, seeded, message", [
+    (FixedSuffix((3, 4)), True, "fixed suffix must end with EOS"),
+    (RandomSuffix(count=2, top_k=5), False, "random suffix requires a seeded rng"),
+    (RandomSuffix(count=2, top_k=99), True, "top_k=99 exceeds 10 ranked tokens"),
+], ids=["fixed without EOS", "random without rng", "random past the ranks"])
+def test_a_bad_suffix_fails_before_the_first_forward_and_draws_nothing(spec, seeded, message):
+    corpus = [[f"t{i}"] * (20 - i) for i in range(10)]
+    vocab = sk.build_vocabulary(corpus)
+    source = (3, 4, 5, 6, vocab.eos)
+    rng = np.random.default_rng(7) if seeded else None
+    state = rng.bit_generator.state if seeded else None
+    model = _QueryLog(HashedModel(len(vocab), seed=1))
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        simulate_sentence(model, vocab, PolicyConfig(lam=0.2), spec, source, rng=rng)
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        make_suffix(spec, vocab, rng)
+    assert model.queries == []
+    assert not seeded or rng.bit_generator.state == state
+
+
 BAD_SOURCES = pytest.mark.parametrize("source", [(), (5,), (5, 1, 6, 1), (99, 1)],
                                       ids=["empty", "no EOS", "inner EOS", "id out of range"])
 

@@ -263,6 +263,26 @@ def test_train_checks_lengths_before_the_first_step(side):
     assert counting.forwards == len(pairs)
 
 
+@pytest.mark.parametrize("side, tokens, message", [
+    ("source", ("w1", "w2"), "source sequence does not end with EOS"),
+    ("source", ("w1", "<eos>", "w2", "<eos>"), "source sequence contains more than one EOS"),
+    ("source", ("w1", 99, "<eos>"), "source id 99 out of range"),
+    ("target", ("w1", "w2"), "target sequence does not end with EOS"),
+], ids=["no EOS", "two EOS", "id out of range", "target without EOS"])
+def test_train_checks_each_pair_before_the_first_step(side, tokens, message):
+    vocab, pairs = copy_corpus(n_pairs=6)
+    bad = tuple(t if isinstance(t, int) else vocab.id(t) for t in tokens)
+    pairs[3] = sk.SentencePair(source=bad if side == "source" else pairs[3].source,
+                               target=bad if side == "target" else pairs[3].target)
+    model = MicroModel(vocab, d=4, max_len=8, seed=0)
+    before = model.clone_params()
+    counting = CountingForwards(model)
+    with pytest.raises(sk.CorpusError, match=f"^sentence 3: {message}"):
+        train(counting, pairs, TrainConfig(epochs=1, batch_size=1))
+    assert counting.forwards == 0
+    assert all(model.params[k].tobytes() == before[k].tobytes() for k in before)
+
+
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(regime="nope")
