@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import Vocabulary, decode_sentence
 
@@ -51,32 +51,44 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
+def _bleu_stats(hyp: Sequence[str], ref: Sequence[str]) -> tuple[int, ...]:
+    """One sentence's BLEU statistics, on lowercased tokens: the hypothesis
+    and reference lengths, then for n = 1..4 the hypothesis's n-gram total
+    and its n-grams clipped by the reference's counts."""
+    h = [t.lower() for t in hyp]
+    r = [t.lower() for t in ref]
+    stats = [len(h), len(r)]
+    for n in range(1, 5):
+        clipped = _ngram_counts(h, n) & _ngram_counts(r, n)
+        stats += (max(len(h) - n + 1, 0), sum(clipped.values()))
+    return tuple(stats)
+
+
+_NO_STATS = (0,) * 10
+
+
+def _bleu(per_sentence: Sequence[tuple[int, ...]]) -> float:
+    """Corpus BLEU-4 in [0, 100] of per-sentence ``_bleu_stats``, summed; 0
+    when every hypothesis is empty or any p_n is zero. Integer sums do not
+    depend on how a corpus is cut, so neither does the score."""
+    hyp_len, ref_len, *ngrams = (sum(col) for col in zip(_NO_STATS, *per_sentence))
+    total, matched = ngrams[0::2], ngrams[1::2]
+    if hyp_len == 0:
+        return 0.0
+    if any(t == 0 or m == 0 for t, m in zip(total, matched)):
+        return 0.0
+    log_precision = math.fsum(math.log(m / t) for t, m in zip(total, matched)) / 4.0
+    bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return 100.0 * bp * math.exp(log_precision)
+
+
 def corpus_bleu(hypotheses: Sequence[Sequence[str]],
                 references: Sequence[Sequence[str]]) -> float:
     """Case-insensitive corpus BLEU-4 in [0, 100]; 0 when any p_n is zero."""
     if len(hypotheses) != len(references):
         raise MetricError(
             f"{len(hypotheses)} hypotheses vs {len(references)} references")
-    matched = [0] * 5
-    total = [0] * 5
-    hyp_len = 0
-    ref_len = 0
-    for hyp, ref in zip(hypotheses, references):
-        h = [t.lower() for t in hyp]
-        r = [t.lower() for t in ref]
-        hyp_len += len(h)
-        ref_len += len(r)
-        for n in range(1, 5):
-            total[n] += max(len(h) - n + 1, 0)
-            clipped = _ngram_counts(h, n) & _ngram_counts(r, n)
-            matched[n] += sum(clipped.values())
-    if hyp_len == 0:
-        return 0.0
-    if any(total[n] == 0 or matched[n] == 0 for n in range(1, 5)):
-        return 0.0
-    log_precision = math.fsum(math.log(matched[n] / total[n]) for n in range(1, 5)) / 4.0
-    bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return 100.0 * bp * math.exp(log_precision)
+    return _bleu([_bleu_stats(h, r) for h, r in zip(hypotheses, references)])
 
 
 def hallucination_rate(hypotheses: Sequence[Sequence],
@@ -119,6 +131,22 @@ class EvalResult:
                 f"{al},{self.bleu!r},{hr},{self.n_sentences},{self.seed}")
 
 
+class _Score(NamedTuple):
+    """What one sentence adds to a row: its AL and its ``_bleu_stats``."""
+    al: float
+    bleu: tuple[int, ...]
+
+
+def _score_sentence(vocab: Vocabulary, source: Sequence[int], reference: Sequence[int],
+                    hypothesis: Sequence[int], g_record: Sequence[int]) -> _Score:
+    if len(g_record) != len(hypothesis):
+        raise MetricError(f"g-record length {len(g_record)} does not match the "
+                          f"hypothesis's {len(hypothesis)} tokens")
+    return _Score(average_lagging(g_record, len(source)),
+                  _bleu_stats(decode_sentence(hypothesis, vocab),
+                              decode_sentence(reference, vocab)))
+
+
 def evaluate_run(
     vocab: Vocabulary,
     sources: Sequence[Sequence[int]],
@@ -132,33 +160,45 @@ def evaluate_run(
     suffix: str = "",
     r_max: int | None = None,
     seed: int = 0,
+    store: dict | None = None,
 ) -> EvalResult:
     """Aggregate AL (sentence mean), corpus BLEU, and optional HR.
 
+    Each sentence is scored alone, its AL and its BLEU statistics, and the
+    row sums the scores in sentence order, so AL is the mean of the same
+    floats and BLEU comes from the same integer counts as ``corpus_bleu``.
+    ``store``, when given, keeps each score under its whole run,
+    ``(source, reference, hypothesis, g_record)`` as tuples, and a run found
+    there is not scored again. A score depends on ``vocab`` too, so one
+    store serves one vocabulary; ``run_sweep`` keeps one for its call.
+
     A sentence whose average lagging is undefined (an empty hypothesis, a
     bad g-record, a g-record whose length is not the hypothesis's) raises
-    MetricError naming its 0-based index."""
+    MetricError naming its 0-based index, and stores nothing."""
     n = len(references)
     if not (len(sources) == len(hypotheses) == len(g_records) == n):
         raise MetricError("corpus size mismatch across inputs")
     if n == 0:
         raise MetricError("cannot evaluate an empty corpus")
 
-    lags = []
-    for i, (src, hyp, g_rec) in enumerate(zip(sources, hypotheses, g_records)):
-        try:
-            if len(g_rec) != len(hyp):
-                raise MetricError(f"g-record length {len(g_rec)} does not match the "
-                                  f"hypothesis's {len(hyp)} tokens")
-            lags.append(average_lagging(g_rec, len(src)))
-        except MetricError as exc:
-            raise MetricError(f"sentence {i}: {exc}") from None
+    if store is None:
+        store = {}
+    scores = []
+    for i, run in enumerate(zip(sources, references, hypotheses, g_records)):
+        key = tuple(map(tuple, run))
+        score = store.get(key)
+        if score is None:
+            try:
+                score = store[key] = _score_sentence(vocab, *run)
+            except MetricError as exc:
+                raise MetricError(f"sentence {i}: {exc}") from None
+        scores.append(score)
 
-    hyp_tokens = [decode_sentence(h, vocab) for h in hypotheses]
-    ref_tokens = [decode_sentence(r, vocab) for r in references]
-    bleu = corpus_bleu(hyp_tokens, ref_tokens)
-    hr = hallucination_rate(hyp_tokens, alignments) if alignments is not None else None
+    hr = None
+    if alignments is not None:
+        hr = hallucination_rate([decode_sentence(h, vocab) for h in hypotheses], alignments)
     return EvalResult(
         policy=policy, lambda_or_k=lambda_or_k, suffix=suffix, r_max=r_max,
-        al=sum(lags) / len(lags), bleu=bleu, hr=hr, n_sentences=n, seed=seed,
+        al=sum(s.al for s in scores) / n, bleu=_bleu([s.bleu for s in scores]), hr=hr,
+        n_sentences=n, seed=seed,
     )

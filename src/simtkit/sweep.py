@@ -4,11 +4,12 @@ A sweep evaluates one (lambda or k) x suffix cell at a time over a corpus,
 one sentence after another, and emits one EvalResult row per cell, sorted
 by AL. Each sentence's RNG is ``sentence_rng(seed, sentence index)``, so
 a cell or a sentence re-run on its own agrees byte for byte with the full
-sweep. Two things make a sweep cheaper without changing a result: the probe
-memo answers each distinct query once, and a suffix's psfuture cells run in
+sweep. Three things make a sweep cheaper without changing a result: the probe
+memo answers each distinct query once; a suffix's psfuture cells run in
 ascending lambda, each after the first giving ``simulate_sentence`` each
 sentence's run at the previous lambda as ``after``, whose decision loop takes
-the decisions that run shares with it instead of querying.
+the decisions that run shares with it instead of querying; and one store of
+sentence scores has ``evaluate_run`` score each distinct run once.
 """
 
 from __future__ import annotations
@@ -101,6 +102,11 @@ def run_sweep(
     decisions that lambda shares with it from that run instead of making
     them again. Every cell and sentence still goes through
     ``simulate_sentence``, in cell order, and returns its full trace.
+    Each cell's row comes from one ``evaluate_run`` call, and all of them
+    share one store of sentence scores, keyed on the whole run ``(source,
+    reference, hypothesis, g_record)``, so a run that comes back in a later
+    cell is scored once. The store serves this call's one vocabulary and
+    is dropped with the memo.
     """
     if not pairs:
         raise ConfigError("sweep corpus is empty")
@@ -116,26 +122,28 @@ def run_sweep(
         _check_lengths(model, pair.source, suffixes, max_target_len=spec.max_target_len,
                        sentence=i)
     memo = _ProbeMemo(model)
+    scores = {}
     with _one_session(memo):
         if spec.policy == "waitk":
-            results = [_run_cell(memo, vocab, pairs, spec, k=k)[0] for k in spec.ks]
+            results = [_run_cell(memo, vocab, pairs, spec, scores, k=k)[0] for k in spec.ks]
         else:
             results = []
             for suffix in suffixes:
                 sims = None
                 for lam in sorted(spec.lambdas):
-                    row, sims = _run_cell(memo, vocab, pairs, spec, lam=lam, suffix=suffix,
-                                          after=sims)
+                    row, sims = _run_cell(memo, vocab, pairs, spec, scores, lam=lam,
+                                          suffix=suffix, after=sims)
                     results.append(row)
     results.sort(key=lambda r: (r.al, r.lambda_or_k, r.suffix))
     return results
 
 
-def _run_cell(model, vocab, pairs, spec, k=None, lam=None, suffix=None,
+def _run_cell(model, vocab, pairs, spec, scores, k=None, lam=None, suffix=None,
               after=None) -> tuple[EvalResult, list[SimulationResult]]:
-    """The row of one cell and its run of each sentence; ``after`` holds a
-    psfuture cell's runs at the suffix's previous lambda, and sentence i's
-    run is passed to ``simulate_sentence`` as its ``after``."""
+    """The row of one cell and its run of each sentence; ``scores`` is the
+    sweep's store for ``evaluate_run``; ``after`` holds a psfuture cell's
+    runs at the suffix's previous lambda, and sentence i's run is passed to
+    ``simulate_sentence`` as its ``after``."""
     if k is not None:
         def one(_i, source):
             return simulate_waitk(model, vocab, k, source,
@@ -178,6 +186,7 @@ def _run_cell(model, vocab, pairs, spec, k=None, lam=None, suffix=None,
         suffix=suffix_id,
         r_max=spec.r_max if k is None else None,
         seed=spec.seed,
+        store=scores,
     )
     return row, sims
 

@@ -31,7 +31,7 @@ from simtkit import (
     suffix_from_name,
     sweep_csv_lines,
 )
-from simtkit import sweep
+from simtkit import metrics, sweep
 from simtkit.cli import main
 from simtkit.core import decode_sentence
 from simtkit.policy import _ProbeMemo
@@ -358,6 +358,37 @@ def test_sweep_memo_changes_forwards_not_results(monkeypatch, world, policy):
     assert rows == want_rows
     assert sims == want_sims and len(sims) == len(rows) * len(pairs)
     assert forwards < want_forwards
+
+
+def test_a_sweep_scores_each_distinct_run_once(monkeypatch):
+    """One store of sentence scores serves every cell of a table sweep: each
+    distinct (source, reference, hypothesis, g-record) is scored once, and
+    every row equals its cell scored alone."""
+    vocab, pairs, model = table_world()
+    spec = SweepSpec(policy="psfuture", lambdas=CELL_LAMBDAS[table_world],
+                     suffixes=("eos", "oracle", "random"), r_max=4, max_target_len=12,
+                     seed=3, random_top_k=6)
+    scored, cells = [], []
+
+    def counted(_vocab, *run, _score=metrics._score_sentence):
+        scored.append(run)
+        return _score(_vocab, *run)
+
+    def recorded(*args, _evaluate=sweep.evaluate_run, **kwargs):
+        row = _evaluate(*args, **kwargs)
+        cells.append((args, kwargs, row))
+        return row
+
+    with monkeypatch.context() as m:
+        m.setattr(metrics, "_score_sentence", counted)
+        m.setattr(sweep, "evaluate_run", recorded)
+        rows = run_sweep(model, vocab, pairs, spec)
+    runs = [run for args, _, _ in cells for run in zip(*args[1:5])]
+    assert len(cells) == len(rows) == 9 and len(runs) == 9 * len(pairs)
+    assert len(scored) == len(set(scored)) == len(set(runs)) < len(runs) / 2
+    for args, kwargs, row in cells:
+        del kwargs["store"]
+        assert sweep.evaluate_run(*args, **kwargs) == row
 
 
 def test_sweep_memo_does_not_outlive_the_call():

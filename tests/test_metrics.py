@@ -15,6 +15,8 @@ from simtkit import (
     hallucination_rate,
 )
 
+from simtkit import metrics
+
 import bleu_oracle
 from conftest import make_vocab
 
@@ -61,6 +63,7 @@ def test_bleu_brevity_penalty_hand_case():
 
 
 def test_bleu_empty_and_zero_cases():
+    assert corpus_bleu([], []) == 0.0
     assert corpus_bleu([[], []], [["a"], ["b"]]) == 0.0
     assert corpus_bleu([["q", "q", "q", "q", "q"]], [["a", "b", "c", "d", "e"]]) == 0.0
 
@@ -70,7 +73,7 @@ def test_bleu_case_insensitive():
 
 
 def test_bleu_mismatched_lengths_rejected():
-    with pytest.raises(MetricError):
+    with pytest.raises(MetricError, match="^1 hypotheses vs 0 references$"):
         corpus_bleu([["a"]], [])
 
 
@@ -113,6 +116,27 @@ def test_bleu_equals_the_slice_oracle_exactly(pairs):
     hyps = [hyp for hyp, _ in pairs]
     refs = [ref for _, ref in pairs]
     assert corpus_bleu(hyps, refs) == bleu_oracle.corpus_bleu(hyps, refs)
+
+
+def _summed(stats):
+    """The column sums of per-sentence BLEU statistics; zeros for none."""
+    return tuple(sum(col) for col in zip((0,) * 10, *stats))
+
+
+@settings(max_examples=300)
+@given(st.lists(_bleu_pair(), max_size=8), st.data())
+def test_bleu_is_a_sum_over_any_cut_of_the_corpus(pairs, data):
+    """Per-sentence BLEU statistics are integers: summed part by part,
+    wherever the corpus is cut, they give corpus_bleu and the oracle bit for
+    bit."""
+    hyps = [hyp for hyp, _ in pairs]
+    refs = [ref for _, ref in pairs]
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(pairs)), max_size=4)))
+    bounds = [0, *cuts, len(pairs)]
+    parts = [_summed(metrics._bleu_stats(h, r) for h, r in pairs[a:b])
+             for a, b in zip(bounds, bounds[1:])]
+    assert metrics._bleu(parts) == corpus_bleu(hyps, refs) == bleu_oracle.corpus_bleu(hyps, refs)
+    assert _summed(parts) == _summed(metrics._bleu_stats(h, r) for h, r in pairs)
 
 
 # -- hallucination rate --------------------------------------------------------------
@@ -213,3 +237,94 @@ def test_eval_result_csv_row_shape():
     row = EvalResult(policy="waitk", lambda_or_k=3, suffix="", r_max=None,
                      al=3.0, bleu=100.0, hr=None, n_sentences=5, seed=1).csv_row()
     assert row == "waitk,3,,,3.0,100.0,,5,1"
+
+
+# -- the sentence-score store ------------------------------------------------------------
+
+_IDS = st.integers(3, 10)  # make_vocab's content ids; EOS is 1
+
+
+@st.composite
+def _cells(draw):
+    """A 3-sentence corpus and 1-5 cells of runs over it. Each sentence's
+    run in a cell is one of two kept for it, so runs repeat across cells, or
+    a fresh one; a hypothesis is often the reference, so BLEU is not 0."""
+    sources = [tuple(draw(st.lists(_IDS, min_size=1, max_size=5))) + (1,) for _ in range(3)]
+    references = [tuple(draw(st.lists(_IDS, max_size=5))) + (1,) for _ in range(3)]
+
+    def run(i):
+        if draw(st.booleans()):
+            hyp = references[i]
+        else:
+            hyp = tuple(draw(st.lists(st.integers(1, 10), min_size=1, max_size=6)))
+        g = draw(st.lists(st.integers(1, len(sources[i])), min_size=len(hyp),
+                          max_size=len(hyp)))
+        return hyp, tuple(sorted(g))
+
+    kept = [[run(i), run(i)] for i in range(3)]
+    cells = [[draw(st.sampled_from(kept[i])) if draw(st.booleans()) else run(i)
+              for i in range(3)]
+             for _ in range(draw(st.integers(1, 5)))]
+    return sources, references, cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cells())
+def test_a_shared_store_changes_the_work_not_the_rows(corpus):
+    """Cells scored through one store give the rows they give alone, and
+    each distinct run is scored once."""
+    sources, references, cells = corpus
+    vocab = make_vocab()
+    scored = []
+
+    def counted(*args, _score=metrics._score_sentence):
+        scored.append(args)
+        return _score(*args)
+
+    def row(cell, **store):
+        return evaluate_run(vocab, sources, references, [hyp for hyp, _ in cell],
+                            [g for _, g in cell], policy="psfuture", lambda_or_k=0.1,
+                            suffix="eos", seed=4, **store)
+
+    alone = [row(cell) for cell in cells]
+    store = {}
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(metrics, "_score_sentence", counted)
+        shared = [row(cell, store=store) for cell in cells]
+    assert shared == alone
+    assert [r.csv_row() for r in shared] == [r.csv_row() for r in alone]
+    runs = {(src, ref, hyp, g) for cell in cells
+            for src, ref, (hyp, g) in zip(sources, references, cell)}
+    assert len(scored) == len(store) == len(runs)
+    assert set(store) == runs
+
+
+def test_a_sentence_that_raises_stores_nothing(monkeypatch):
+    """As the probe memo does for a query: a sentence whose scoring raises
+    leaves no entry, and a later call scores it."""
+    vocab = make_vocab()
+    src = (3, 4, 5, 1)
+    hyps = [src, (4, 4, 5, 1)]
+    store = {}
+    with pytest.raises(MetricError, match="^sentence 1: g value 9 outside \\[1, 4\\]$"):
+        evaluate_run(vocab, [src, src], [src, src], hyps, [(1, 2, 3, 4), (1, 2, 9, 9)],
+                     store=store)
+    assert list(store) == [(src, src, src, (1, 2, 3, 4))]
+
+    scored = []
+
+    def fails_once(*args, _score=metrics._score_sentence):
+        scored.append(args)
+        if len(scored) == 1:
+            raise MetricError("g-record unreadable")
+        return _score(*args)
+
+    monkeypatch.setattr(metrics, "_score_sentence", fails_once)
+    g_records = [(1, 2, 3, 4), (2, 2, 3, 4)]
+    with pytest.raises(MetricError, match="^sentence 1: g-record unreadable$"):
+        evaluate_run(vocab, [src, src], [src, src], hyps, g_records, store=store)
+    assert len(store) == 1
+    row = evaluate_run(vocab, [src, src], [src, src], hyps, g_records, store=store)
+    assert scored == [(vocab, src, src, hyps[1], g_records[1])] * 2
+    assert len(store) == 2
+    assert row == evaluate_run(vocab, [src, src], [src, src], hyps, g_records)
