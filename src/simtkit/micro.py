@@ -21,25 +21,24 @@ Every forward runs three stages: (1) the encoder turns the source into the
 cross-attention keys and values, (2) the decoder's causal self-attention
 runs over BOS + target prefix, and (3) the head applies cross-attention,
 the feed-forward block and the output projection. Stage 1 reads only the
-source and stage 2 only the target prefix. Training and inference share
-the encoder-output step (``_cross_kv``, which checks the encoder output
-finite) and the feed-forward block and output projection
-(``_feed_forward``, which checks the logits finite); their attention
-differs.
+source and stage 2 only the target prefix.
 
-Training attends as written: Q, K and V projections, scores over sqrt(d),
-the context times W_o (``_self_attend`` for the encoder and the decoder of
-a batch, ``_attn_forward`` for all three blocks), since its backward needs
-Q, K and V. Inference folds the weights instead. For each attention block
-a session takes ``KQ = W_k W_q' / sqrt(d)`` and ``VO = W_v W_o`` once,
-when it opens. A key row with input x0 then has the folded rows ``x0 KQ``
-and ``x0 VO``; stage 1 keeps the encoder's, and the encoder output times the
-cross-attention block's KQ and VO in place of the cross-attention keys and
-values. A query row x then needs one product for its scores (``x kq'``)
-and its output is ``softmax(x kq') vo + x``, with no Q projection, no
-division by sqrt(d) and no product with W_o. One helper
-(``_folded_attend``) serves an inference query's new encoder rows, its last
-decoder row and the head's cross-attention.
+Attention runs on folded weights, in training and inference alike. For
+each attention block a call takes ``KQ = W_k W_q' / sqrt(d)`` and
+``VO = W_v W_o`` (``_folds``) once: a training batch when it starts, an
+inference session when it opens. A key row with input x0 then has the
+folded rows ``x0 KQ`` and ``x0 VO``; for cross-attention, the encoder
+output times the cross-attention block's KQ and VO (``_cross_kv``, which
+checks the encoder output finite) stands in for the keys and values. A
+query row x needs one product for its scores (``x kq'``) and its output
+is ``softmax(x kq') vo + x``, with no Q projection, no division by
+sqrt(d) and no product with W_o. One helper (``_folded_attend``) serves
+every attention step: a training batch's three blocks, and an inference
+query's new encoder rows, its last decoder row and the head's
+cross-attention. Its backward (``_attn_backward``) gives the gradients of
+KQ and VO, which the chain rule takes back to W_q, W_k, W_v and W_o.
+Training and inference also share the feed-forward block and output
+projection (``_feed_forward``, which checks the logits finite).
 
 Inference (``next_dist``) runs the stages incrementally, as STACL (Ma et
 al. 2019) and efficient wait-k (Elbayad et al. 2020) do. Stage 2 keeps
@@ -93,8 +92,9 @@ j < the row's source length), the causal masks, and per-row cross-attention
 limits (a padded row's limit is 1). Padded logit rows get a zero gradient.
 ``sentence_nlls`` is the one-item ``"full"`` batch, so scoring and training
 share one teacher-forced path. The batch sums in another order than one
-pair at a time would, so losses and gradients agree with the per-pair
-arithmetic to rounding, not bit for bit.
+pair at a time would, and the folds associate the weight products in
+another order, so losses and gradients agree with the per-pair, unfolded
+arithmetic (``tests/pair_oracle.py``) to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -163,23 +163,24 @@ class MicroModel:
 
     # -- forward: three stages (see the module docstring) -----------------
 
-    def _self_attend(self, block: str, ids, allowed):
-        """One training self-attention step of ``block``: embed the padded
-        batch ``ids`` (B, L) at positions 0..L-1 and attend from every row
-        under ``allowed``. Returns the output and its backward cache."""
+    def _self_attend(self, fold, ids, allowed):
+        """One training self-attention step on a block's ``fold`` (KQ, VO):
+        embed the padded batch ``ids`` (B, L) at positions 0..L-1 and attend
+        from every row under ``allowed``. Returns the output and its
+        backward cache."""
         p = self.params
         x0 = p["embed"][ids] + p["pos"][:ids.shape[1]]
-        k, v = x0 @ p[f"{block}_k"], x0 @ p[f"{block}_v"]
-        out, parts = _attn_forward(x0, k, v, p, block, allowed)
-        return out, (x0, x0, k, v, *parts)
+        kq, vo = x0 @ fold[0], x0 @ fold[1]
+        out, attn = _folded_attend(x0, kq, vo, allowed)
+        return out, (x0, x0, kq, vo, attn)
 
-    def _cross_kv(self, henc, weights):
-        """Stage 1's last step: the encoder output ``henc`` times each of
-        ``weights`` (the cross-attention key and value projections, or their
-        folds), once it is checked finite."""
+    def _cross_kv(self, henc, fold):
+        """Stage 1's last step: the encoder output ``henc`` times each of the
+        cross-attention block's ``fold`` (KQ, VO), once it is checked
+        finite."""
         if not np.logical_and.reduce(np.isfinite(henc), axis=None):
             raise NumericError("non-finite values in encoder output")
-        return tuple(henc @ w for w in weights)
+        return tuple(henc @ w for w in fold)
 
     def _feed_forward(self, y2):
         """Stage 3 after the cross-attention, of a training batch or of one
@@ -287,7 +288,7 @@ class MicroModel:
         x0 = p["embed"][np.asarray(src[start:])] + p["pos"][start:end]
         kq, vo = (np.concatenate((mine, x0 @ w)) for mine, w in zip(before[:2], folds["enc"]))
         allowed = self._tri[start:end, :end] if self.mode == UNIDIRECTIONAL else None
-        henc = _folded_attend(x0, kq, vo, allowed)
+        henc = _folded_attend(x0, kq, vo, allowed)[0]
         cross_kq, cross_vo = self._cross_kv(henc, folds["dec_cross"])
         return kq, vo, np.concatenate((before[2], cross_kq)), np.concatenate((before[3], cross_vo))
 
@@ -300,7 +301,7 @@ class MicroModel:
         p = self.params
         x0 = p["embed"][np.asarray(tgt_in)] + p["pos"][:len(tgt_in)]
         kq, vo = ((x0[:, None] @ w).reshape(-1, self.d) for w in folds["dec_self"])
-        return _folded_attend(x0[-1], kq, vo, None)
+        return _folded_attend(x0[-1], kq, vo, None)[0]
 
     def _check_query(self, src: tuple[int, ...], rows: int, limits="full"):
         """Check a query of source ``src`` and ``rows`` decoder rows, and
@@ -370,15 +371,15 @@ class MicroModel:
         if (n < s).any():  # no position attends to a padded source one
             keys = (np.arange(s) < n[:, None])[:, None, :]
             allowed = keys if allowed is None else keys & allowed
-        p = self.params
-        henc, enc_cache = self._self_attend("enc", src_ids, allowed)
-        cross_kv = self._cross_kv(henc, (p["dec_cross_k"], p["dec_cross_v"]))
-        y1, self_cache = self._self_attend("dec_self", tgt_in, self._tri[:r, :r])
+        folds = self._folds()
+        henc, enc_cache = self._self_attend(folds["enc"], src_ids, allowed)
+        cross_kq, cross_vo = self._cross_kv(henc, folds["dec_cross"])
+        y1, self_cache = self._self_attend(folds["dec_self"], tgt_in, self._tri[:r, :r])
         cross_allowed = None if (limit == s).all() else np.arange(s) < limit[..., None]
-        y2, cross_parts = _attn_forward(y1, *cross_kv, p, "dec_cross", cross_allowed)
+        y2, cross_attn = _folded_attend(y1, cross_kq, cross_vo, cross_allowed)
         logits, relu, y3 = self._feed_forward(y2)
-        return logits, targets, t, [src_ids, tgt_in, enc_cache, self_cache,
-                                    (y1, henc, *cross_kv, *cross_parts), y2, relu, y3]
+        return logits, targets, t, [folds, src_ids, tgt_in, enc_cache, self_cache,
+                                    (y1, henc, cross_kq, cross_vo, cross_attn), y2, relu, y3]
 
     def _batch_backward(self, cache: list, dlogits: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of every parameter given the cache of _batch_forward
@@ -397,13 +398,22 @@ class MicroModel:
         dy += dh @ p["ff_w1"].T
         del relu, active, dh
 
-        dy, dhenc = _attn_backward(cache.pop(), dy, p, "dec_cross", grads)
-        dy0, dy0_kv = _attn_backward(cache.pop(), dy, p, "dec_self", grads)
+        folds = cache[0]
+        dy, dhenc, dcross = _attn_backward(cache.pop(), dy, folds["dec_cross"])
+        dy0, dy0_kv, dself = _attn_backward(cache.pop(), dy, folds["dec_self"])
         dy0 += dy0_kv
-        dx0, dx0_kv = _attn_backward(cache.pop(), dhenc, p, "enc", grads)
+        dx0, dx0_kv, denc = _attn_backward(cache.pop(), dhenc, folds["enc"])
         dx0 += dx0_kv
+        # the chain rule through KQ = W_k W_q' / sqrt(d) and VO = W_v W_o
+        scale = np.sqrt(self.d)
+        for block, (dkq, dvo) in zip(ATTN_BLOCKS, (denc, dself, dcross)):
+            wq, wk, wv, wo = (p[f"{block}_{w}"] for w in "qkvo")
+            grads[f"{block}_q"] = dkq.T @ wk / scale
+            grads[f"{block}_k"] = dkq @ wq / scale
+            grads[f"{block}_v"] = dvo @ wo.T
+            grads[f"{block}_o"] = wv.T @ dvo
 
-        src_ids, tgt_in = cache
+        _, src_ids, tgt_in = cache
         grads["embed"] = embed = np.zeros_like(p["embed"])
         np.add.at(embed, tgt_in.ravel(), _flat(dy0))
         np.add.at(embed, src_ids.ravel(), _flat(dx0))
@@ -433,7 +443,7 @@ class MicroModel:
         y1 = decoded.get(tgt_in)
         if y1 is None:
             y1 = decoded[tgt_in] = self._decoder_row(folds, tgt_in)
-        logits = self._feed_forward(_folded_attend(y1, *cross, None))[0]
+        logits = self._feed_forward(_folded_attend(y1, *cross, None)[0])[0]
         return Distribution(_softmax_rows(logits))
 
     def loss_and_grads(self, batch) -> tuple[float, dict[str, np.ndarray]]:
@@ -513,64 +523,43 @@ def _log_softmax_nll(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return lse - np.take_along_axis(shifted, targets[..., None], axis=-1)[..., 0]
 
 
-def _attn_forward(q_in, k, v, params, block, allowed):
-    """Single-head attention with residual: out = softmax(QK'/sqrt(d)) V Wo + q_in
-    with Q = q_in Wq; returns out and (Q, attention weights, context).
+def _folded_attend(x, kq, vo, allowed):
+    """Single-head attention with residual on folded rows:
+    ``softmax(x kq') vo + x``, where a key row's ``kq`` is its input times
+    ``KQ = W_k W_q' / sqrt(d)`` and its ``vo`` its input times
+    ``VO = W_v W_o``; this is softmax(Q K' / sqrt(d)) V W_o + x with
+    Q = x W_q. Returns the output and the attention weights.
 
-    Inputs are (..., rows, d) with any leading batch axes. ``k`` and ``v``
-    are the projected keys and values. ``allowed`` is a boolean (queries x
-    keys) visibility mask that broadcasts against the scores, or None when
-    every key is visible; disallowed scores become -inf before the softmax,
-    so their weights are exactly zero and masked positions cannot leak into
+    ``x`` is one row (d,) or rows (..., L, d), with any leading batch axes
+    that ``kq`` and ``vo`` share. ``allowed`` is a boolean (queries x keys)
+    visibility mask that broadcasts against the scores, or None when every
+    key is visible; disallowed scores become -inf before the softmax, so
+    their weights are exactly zero and masked positions cannot leak into
     the output.
     """
-    q = q_in @ params[f"{block}_q"]
-    scores = (q @ k.swapaxes(-1, -2)) / np.sqrt(q_in.shape[-1])
+    scores = x @ kq.mT
     if allowed is not None:
         scores = np.where(allowed, scores, -np.inf)
     attn = _softmax_rows(scores)
-    ctx = attn @ v
-    return ctx @ params[f"{block}_o"] + q_in, (q, attn, ctx)
-
-
-def _folded_attend(x, kq, vo, allowed):
-    """Attention with residual on folded rows, for inference:
-    ``softmax(x kq') vo + x``, where a key row's ``kq`` is its input times
-    ``W_k W_q' / sqrt(d)`` and its ``vo`` its input times ``W_v W_o``. This
-    is _attn_forward's output with the two weight products of each side
-    taken once per sentence cache. ``x`` is one row (d,) or rows (L, d);
-    ``allowed`` is as in _attn_forward."""
-    scores = x @ kq.T
-    if allowed is not None:
-        scores = np.where(allowed, scores, -np.inf)
-    out = _softmax_rows(scores) @ vo
+    out = attn @ vo
     out += x
-    return out
+    return out, attn
 
 
-def _attn_backward(cache, dout, params, block, grads):
-    """Gradients of _attn_forward given its (q_in, kv_in, k, v, Q, attention
-    weights, context); stores the block's weight gradients, summed over the
-    leading axes, in ``grads`` and returns (d q_in, d kv_in)."""
-    q_in, kv_in, k, v, q, attn, ctx = cache
-    scale = np.sqrt(q_in.shape[-1])
-    wq, wk, wv, wo = (params[f"{block}_{p}"] for p in ("q", "k", "v", "o"))
-
-    grads[f"{block}_o"] = _flat(ctx).T @ _flat(dout)
-    dctx = dout @ wo.T
-    dv = attn.swapaxes(-1, -2) @ dctx
+def _attn_backward(cache, dout, fold):
+    """Gradients of _folded_attend given its (x, kv_in, kq, vo, attention
+    weights), where kq and vo are kv_in times the block's ``fold`` (KQ, VO):
+    returns d x, d kv_in and (d KQ, d VO), the last two summed over the
+    leading axes."""
+    x, kv_in, kq, vo, attn = cache
+    dvo = attn.mT @ dout
     # softmax backward in place; masked cells have attn == 0 so their grads vanish
-    dscores = dctx @ v.swapaxes(-1, -2)
+    dscores = dout @ vo.mT
     dscores -= (dscores * attn).sum(axis=-1, keepdims=True)
     dscores *= attn
-    dq = (dscores @ k) / scale
-    dk = (dscores.swapaxes(-1, -2) @ q) / scale
-
-    grads[f"{block}_q"] = _flat(q_in).T @ _flat(dq)
-    grads[f"{block}_k"] = _flat(kv_in).T @ _flat(dk)
-    grads[f"{block}_v"] = _flat(kv_in).T @ _flat(dv)
-    dq_in = dq @ wq.T
-    dq_in += dout
-    dkv_in = dk @ wk.T
-    dkv_in += dv @ wv.T
-    return dq_in, dkv_in
+    dx = dscores @ kq
+    dx += dout
+    dkq = dscores.mT @ x
+    dkv_in = dkq @ fold[0].T
+    dkv_in += dvo @ fold[1].T
+    return dx, dkv_in, (_flat(kv_in).T @ _flat(dkq), _flat(kv_in).T @ _flat(dvo))

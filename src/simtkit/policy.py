@@ -25,7 +25,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import ClassVar, Sequence, Union
 
 import numpy as np
 
@@ -77,7 +77,7 @@ class RandomSuffix:
     tokens, resampled on every decision from the caller's rng."""
     count: int = 4
     top_k: int = 200
-    name: str = "random"
+    name: ClassVar[str] = "random"
 
     def __post_init__(self):
         if self.count < 1:
@@ -89,7 +89,7 @@ class RandomSuffix:
 @dataclass(frozen=True)
 class OracleSuffix:
     """The true source continuation; the upper-bound suffix."""
-    name: str = "oracle"
+    name: ClassVar[str] = "oracle"
 
 
 SuffixSpec = Union[FixedSuffix, RandomSuffix, OracleSuffix]
@@ -421,7 +421,9 @@ def simulate_waitk(
     max_target_len: int = PolicyConfig.max_target_len,
 ) -> SimulationResult:
     """Greedy decoding under the fixed wait-k schedule; the source and the
-    lengths are checked as in ``simulate_sentence``."""
+    lengths are checked as in ``simulate_sentence``, and ``max_target_len``
+    as ``PolicyConfig`` checks it."""
+    PolicyConfig(max_target_len=max_target_len)
     source = tuple(source)
     _validate_sequence("source", source, vocab)
     _check_lengths(model, source, max_target_len=max_target_len)
@@ -496,8 +498,7 @@ def threshold_path(matrix: DivergenceMatrix, lam: float) -> list[tuple[int, int]
     """Greedy staircase through the matrix: write (t, g) when the cell clears
     the threshold or the source is spent, else read. 1-based coordinates.
     ``lam`` follows ``PolicyConfig.lam``: any value but NaN."""
-    if math.isnan(lam):
-        raise ConfigError(f"lam={lam} must not be NaN")
+    PolicyConfig(lam=lam)
     t_len, n = matrix.values.shape
     path = []
     g = 1

@@ -219,8 +219,9 @@ def divergence_report_lines(model, vocab, pair, suffix_spec, lam,
     """CSV text for the divergence matrix plus the lambda-thresholded path.
 
     Rows are labelled with the reference target tokens; columns are source
-    prefix lengths 1..N.
+    prefix lengths 1..N. ``lam`` is checked before the first forward.
     """
+    PolicyConfig(lam=lam)
     matrix = divergence_matrix(model, vocab, pair, suffix_spec, rng=rng)
     t_len, n = matrix.values.shape
     lines = ["# simtkit divergence matrix",

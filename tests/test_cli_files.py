@@ -6,7 +6,9 @@ short, missing a key, holding a value of the wrong JSON type, holding a
 NaN or null probability, holding a tensor one number short of its shape,
 or holding a number no model may hold (a NaN or infinite weight, an
 integer beyond float64); corpora have line counts that differ or an empty
-line. Out-of-vocabulary tokens are not an error: they map to UNK.
+line. Out-of-vocabulary tokens are not an error: they map to UNK. A bad
+train config file, a missing input flag and eval files that do not line up
+exit 2 with their one-line message.
 """
 
 import contextlib
@@ -300,3 +302,41 @@ def test_simulate_rejects_an_empty_sentence_as_the_loader_does(files, sentence):
         code, stdout, stderr, written = _check(argv, ["o"], out)
     _assert_rejected(code, stdout, stderr, written)
     assert stderr == "simtkit: CorpusError: line 1: corpus contains an empty sentence\n"
+
+
+_TRAIN_CONFIG = ["train", "--config", "{out}/in.txt", "--src", "{src}", "--tgt", "{tgt}",
+                 "--checkpoint", "{out}/ck.json"]
+# (name, argv, the text of {out}/in.txt with {table} the table model, message)
+INPUT_ERRORS = [
+    # r is the config file's short name for ratio_r: the check names ratio_r
+    ("config r alias", _TRAIN_CONFIG, "r = 1.5\n", "ConfigError: ratio_r must lie in [0, 1]"),
+    ("config unknown key", _TRAIN_CONFIG, "epoch = 1\n",
+     "ValueError: unknown config key 'epoch'"),
+    ("config line without =", _TRAIN_CONFIG, "# epochs\nepochs 1\n",
+     "ValueError: bad config line 'epochs 1' (expected key = value)"),
+    ("train without src", ["train", "--tgt", "{tgt}", "--checkpoint", "{out}/ck.json"], "",
+     "ValueError: train requires --src and --tgt (or config keys src/tgt)"),
+    ("simulate without sentence or src", ["simulate", "--model", "{out}/in.txt",
+                                          "--out", "{out}/o"], "{table}",
+     "ValueError: simulate needs --sentence or --src"),
+    ("eval line counts", ["eval", "--hyp", "{src}", "--ref", "{out}/in.txt",
+                          "--out", "{out}/o"], "w0 w1\n",
+     "ValueError: hypothesis/reference line counts differ"),
+    ("eval g-records without src", ["eval", "--hyp", "{src}", "--ref", "{tgt}",
+                                    "--g-records", "{out}/in.txt", "--out", "{out}/o"],
+     "1 2\n1 2\n1 2\n", "ValueError: --g-records requires --src for source lengths"),
+]
+
+
+@pytest.mark.parametrize("argv, text, message", [c[1:] for c in INPUT_ERRORS],
+                         ids=[c[0] for c in INPUT_ERRORS])
+def test_bad_input_exits_2_with_its_message(files, argv, text, message):
+    paths, docs = files
+    with tempfile.TemporaryDirectory() as out:
+        with open(os.path.join(out, "in.txt"), "w", encoding="utf-8") as fh:
+            fh.write(text.format(**docs))
+        code, stdout, stderr = _run([a.format(out=out, **paths) for a in argv])
+        written = os.listdir(out)
+    assert code == 2, stderr
+    assert stderr == f"simtkit: {message}\n"
+    assert stdout == "" and written == ["in.txt"]

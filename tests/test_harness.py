@@ -186,6 +186,27 @@ def test_waitk_checks_lengths_before_the_first_forward():
     assert counting.forwards > 0
 
 
+@pytest.mark.parametrize("max_target_len", [0, -3])
+def test_waitk_checks_max_target_len_as_policy_config_does(max_target_len):
+    vocab, pairs, model = copy_world(n_pairs=2)
+    counting = CountingModel(model)
+    message = f"^max_target_len={max_target_len} must be >= 1$"
+    with pytest.raises(ConfigError, match=message):
+        PolicyConfig(max_target_len=max_target_len)
+    with pytest.raises(ConfigError, match=message):
+        simulate_waitk(counting, vocab, 3, pairs[0].source, max_target_len=max_target_len)
+    assert counting.forwards == 0
+
+
+def test_divergence_report_checks_lambda_before_the_first_forward():
+    vocab, pairs, model = copy_world(n_pairs=5)
+    counting = CountingModel(model)
+    with pytest.raises(ConfigError, match="^lam=nan must not be NaN$"):
+        divergence_report_lines(counting, vocab, pairs[0], suffix_from_name("eos", vocab),
+                                float("nan"))
+    assert counting.forwards == 0
+
+
 def test_divergence_matrix_checks_lengths_before_the_first_forward():
     vocab, pairs, model = long_source_world()
     counting = CountingModel(model)
