@@ -537,7 +537,7 @@ def _folded_attend(x, kq, vo, allowed):
     their weights are exactly zero and masked positions cannot leak into
     the output.
     """
-    scores = x @ kq.mT
+    scores = x @ kq.swapaxes(-1, -2)
     if allowed is not None:
         scores = np.where(allowed, scores, -np.inf)
     attn = _softmax_rows(scores)
@@ -552,14 +552,14 @@ def _attn_backward(cache, dout, fold):
     returns d x, d kv_in and (d KQ, d VO), the last two summed over the
     leading axes."""
     x, kv_in, kq, vo, attn = cache
-    dvo = attn.mT @ dout
+    dvo = attn.swapaxes(-1, -2) @ dout
     # softmax backward in place; masked cells have attn == 0 so their grads vanish
-    dscores = dout @ vo.mT
+    dscores = dout @ vo.swapaxes(-1, -2)
     dscores -= (dscores * attn).sum(axis=-1, keepdims=True)
     dscores *= attn
     dx = dscores @ kq
     dx += dout
-    dkq = dscores.mT @ x
+    dkq = dscores.swapaxes(-1, -2) @ x
     dkv_in = dkq @ fold[0].T
     dkv_in += dvo @ fold[1].T
     return dx, dkv_in, (_flat(kv_in).T @ _flat(dkq), _flat(kv_in).T @ _flat(dvo))
