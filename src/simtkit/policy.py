@@ -407,9 +407,10 @@ def simulate_sentence(
 
 def waitk_g(t: int, k: int, n: int) -> int:
     """Source tokens read before writing target token t: min(t+k-1, n)."""
-    for name, value in (("t", t), ("k", k), ("n", n)):
-        if value < 1:
-            raise ConfigError(f"{name}={value} must be >= 1")
+    if t < 1 or k < 1 or n < 1:
+        for name, value in (("t", t), ("k", k), ("n", n)):
+            if value < 1:
+                raise ConfigError(f"{name}={value} must be >= 1")
     return min(t + k - 1, n)
 
 

@@ -32,6 +32,7 @@ from .policy import (
     simulate_waitk,
     suffix_from_name,
     threshold_path,
+    waitk_g,
 )
 
 DEFAULT_LAMBDA_GRID = (0.02, 0.05, 0.08, 0.1, 0.2, 0.4)
@@ -64,8 +65,11 @@ class SweepSpec:
                 raise ConfigError("psfuture sweep requires a non-empty lambda list")
             if not self.suffixes:
                 raise ConfigError("psfuture sweep requires at least one suffix")
-        elif not self.ks or any(k < 1 for k in self.ks):
-            raise ConfigError("waitk sweep requires positive k values")
+        else:
+            if not self.ks:
+                raise ConfigError("waitk sweep requires a non-empty k list")
+            for k in self.ks:  # as wait-k checks k: "k=0 must be >= 1"
+                waitk_g(1, k, 1)
 
     def policy_config(self, lam: float = PolicyConfig.lam) -> PolicyConfig:
         """The loop settings of a psfuture cell at ``lam``."""

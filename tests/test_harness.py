@@ -561,8 +561,10 @@ def test_probe_memo_does_not_store_a_failed_query():
 def test_sweep_spec_validation():
     with pytest.raises(ConfigError):
         SweepSpec(policy="psfuture", lambdas=())
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^waitk sweep requires a non-empty k list$"):
         SweepSpec(policy="waitk", ks=())
+    with pytest.raises(ConfigError, match="^k=0 must be >= 1$"):
+        SweepSpec(policy="waitk", ks=(1, 0))
     with pytest.raises(ConfigError):
         SweepSpec(policy="mystery")
     # PolicyConfig checks the loop settings of a wait-k sweep too

@@ -73,28 +73,107 @@ def test_entry_at_truncation_level_found():
     assert out.argmax() == 2
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_lookup_matches_linear_scan_oracle(data):
-    n = 6
-    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
-    ids = st.integers(min_value=0, max_value=n - 1)
-    seqs = st.lists(ids, max_size=4).map(tuple)
+def _context(rng, n, max_len):
+    return tuple(int(x) for x in rng.integers(0, n, size=rng.integers(0, max_len + 1)))
+
+
+def _queries_from_keys(rng, n, keys, count):
+    """Queries that end in a stored key: random tokens in front of an entry's
+    source and target, mixed with empty targets, 1-token sources and
+    unrelated contexts, so first hits fall at every backoff position."""
+    out = []
+    for _ in range(count):
+        src, tgt = keys[rng.integers(len(keys))]
+        src, tgt = _context(rng, n, 3) + src, _context(rng, n, 3) + tgt
+        kind = rng.integers(10)  # 5 in 10 as built, 2 empty targets, 2 short sources
+        if kind in (5, 6):
+            tgt = ()
+        elif kind in (7, 8):
+            src = src[-1:] or (int(rng.integers(n)),)
+        elif kind == 9:
+            src, tgt = _context(rng, n, 4), _context(rng, n, 4)
+        out.append((src, tgt))
+    return out
+
+
+def _oracle_case(rng, n=6):
+    """A table of 1 to 8 random entries over contexts of up to 4 tokens, and
+    8 queries built from its keys."""
     entries = {}
-    for _ in range(data.draw(st.integers(0, 8))):
-        key = (data.draw(seqs), data.draw(seqs))
+    for _ in range(rng.integers(1, 9)):
         vec = rng.random(n) + 0.01
-        entries[key] = vec / vec.sum()
+        entries[(_context(rng, n, 4), _context(rng, n, 4))] = vec / vec.sum()
     model = _table(n, entries)
-    entry_items = list(model.entries.items())
-    for _ in range(5):
-        src, tgt = data.draw(seqs), data.draw(seqs)
-        expected = _linear_scan_lookup(entry_items, src, tgt, model.default)
-        got = model.next_dist(src, tgt)
-        assert np.array_equal(got.probs, expected)
-        # the stored object of the first probe that hits, else the default
-        hits = [model.entries[key] for key in backoff_probes(src, tgt) if key in model.entries]
-        assert got is (hits[0] if hits else model.default)
+    return model, _queries_from_keys(rng, n, list(model.entries), 8)
+
+
+def _first_hit_position(model, src, tgt):
+    """The position in ``backoff_probes`` of the first stored key, else None."""
+    for pos, key in enumerate(backoff_probes(src, tgt)):
+        if key in model.entries:
+            return pos
+    return None
+
+
+def _check_lookup(model, src, tgt):
+    expected = _linear_scan_lookup(list(model.entries.items()), src, tgt, model.default)
+    got = model.next_dist(src, tgt)
+    assert np.array_equal(got.probs, expected)
+    # the stored object of the first probe that hits, else the default
+    pos = _first_hit_position(model, src, tgt)
+    assert got is (model.default if pos is None else
+                   model.entries[backoff_probes(src, tgt)[pos]])
+    return pos
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_lookup_matches_linear_scan_oracle(seed):
+    model, queries = _oracle_case(np.random.default_rng(seed))
+    for src, tgt in queries:
+        _check_lookup(model, src, tgt)
+
+
+def test_oracle_queries_first_hit_every_backoff_position():
+    """The oracle test's queries reach each of the 16 probe positions of a
+    query with 3+ source and 3+ target tokens, and the default."""
+    rng = np.random.default_rng(0)
+    seen = set()
+    for _ in range(400):
+        model, queries = _oracle_case(rng)
+        for src, tgt in queries:
+            seen.add(_check_lookup(model, src, tgt))
+    assert seen == set(range(16)) | {None}
+
+
+def test_reloaded_table_answers_with_its_own_first_hit(tmp_path):
+    _, _, table = generate_corpus(SyntheticSpec("tail_first", 10, (5, 9), 40, seed=1))
+    save_model(table, tmp_path / "t.json")
+    loaded = load_model(tmp_path / "t.json")
+    queries = _queries_from_keys(np.random.default_rng(3), 10, sorted(table.entries), 500)
+    for src, tgt in queries:
+        got = loaded.next_dist(src, tgt)
+        assert got.probs.tobytes() == table.next_dist(src, tgt).probs.tobytes()
+        hits = [loaded.entries[key] for key in backoff_probes(src, tgt) if key in loaded.entries]
+        assert got is (hits[0] if hits else loaded.default)
+
+
+def test_index_is_built_by_the_first_lookup_and_kept(tmp_path, monkeypatch):
+    built = []
+    build = TableModel._build_index
+
+    def counted(self):
+        built.append(self)
+        return build(self)
+
+    monkeypatch.setattr(TableModel, "_build_index", counted)
+    _, _, table = generate_corpus(SyntheticSpec("tail_first", 10, (5, 9), 40, seed=1))
+    save_model(table, tmp_path / "t.json")
+    load_model(tmp_path / "t.json")
+    assert built == []  # constructing, saving and loading build none
+    for src, tgt in _queries_from_keys(np.random.default_rng(4), 10, sorted(table.entries), 1000):
+        table.next_dist(src, tgt)
+    assert built == [table]
 
 
 def test_probe_order_most_specific_first():
