@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import chain
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .core import Distribution, Vocabulary
@@ -51,7 +52,8 @@ class TableModel:
     given: entries with equal rows may share one object, since its array is
     read-only. The first lookup builds an index of ``entries`` by source
     context, ``{src_ctx: {tgt_ctx: Distribution}}``, and keeps it, so
-    ``entries`` must not change after the first lookup.
+    ``entries`` is a read-only view of a private copy of the mapping given:
+    it cannot change under the index.
     """
 
     def __init__(self, vocab: Vocabulary, entries: Mapping[Key, Distribution],
@@ -62,7 +64,7 @@ class TableModel:
             if len(dist) != len(vocab):
                 raise ValueError(f"distribution length {len(dist)} != vocab size {len(vocab)}")
         self.vocab = vocab
-        self.entries: dict[Key, Distribution] = dict(entries)
+        self.entries: Mapping[Key, Distribution] = MappingProxyType(dict(entries))
         self.default = default
         self._by_source: dict[Context, dict[Context, Distribution]] | None = None
 

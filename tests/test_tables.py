@@ -80,9 +80,13 @@ def _context(rng, n, max_len):
 def _queries_from_keys(rng, n, keys, count):
     """Queries that end in a stored key: random tokens in front of an entry's
     source and target, mixed with empty targets, 1-token sources and
-    unrelated contexts, so first hits fall at every backoff position."""
+    unrelated contexts, so first hits fall at every backoff position. With
+    no keys, every query is an unrelated context."""
     out = []
     for _ in range(count):
+        if not keys:
+            out.append((_context(rng, n, 4), _context(rng, n, 4)))
+            continue
         src, tgt = keys[rng.integers(len(keys))]
         src, tgt = _context(rng, n, 3) + src, _context(rng, n, 3) + tgt
         kind = rng.integers(10)  # 5 in 10 as built, 2 empty targets, 2 short sources
@@ -97,10 +101,10 @@ def _queries_from_keys(rng, n, keys, count):
 
 
 def _oracle_case(rng, n=6):
-    """A table of 1 to 8 random entries over contexts of up to 4 tokens, and
+    """A table of 0 to 8 random entries over contexts of up to 4 tokens, and
     8 queries built from its keys."""
     entries = {}
-    for _ in range(rng.integers(1, 9)):
+    for _ in range(rng.integers(0, 9)):
         vec = rng.random(n) + 0.01
         entries[(_context(rng, n, 4), _context(rng, n, 4))] = vec / vec.sum()
     model = _table(n, entries)
@@ -132,6 +136,30 @@ def test_lookup_matches_linear_scan_oracle(seed):
     model, queries = _oracle_case(np.random.default_rng(seed))
     for src, tgt in queries:
         _check_lookup(model, src, tgt)
+
+
+def test_empty_table_answers_every_query_with_its_default(monkeypatch):
+    built = []
+    build = TableModel._build_index
+    monkeypatch.setattr(TableModel, "_build_index", lambda self: built.append(self) or build(self))
+    model = _table(6, {})
+    for src, tgt in _queries_from_keys(np.random.default_rng(5), 6, [], 50):
+        assert _check_lookup(model, src, tgt) is None
+        assert model.next_dist(src, tgt) is model.default
+    assert built == [model]
+
+
+def test_entries_are_a_read_only_copy():
+    one, two = Distribution(np.eye(6)[1]), Distribution(np.eye(6)[2])
+    given = {((1,), ()): one}
+    model = TableModel(make_vocab(3), given, uniform_distribution(6, range(6)))
+    with pytest.raises(TypeError):
+        model.entries[((2,), ())] = two
+    with pytest.raises(TypeError):
+        del model.entries[((1,), ())]
+    given[((2,), ())] = two  # the caller's dict is not the table's
+    assert dict(model.entries) == {((1,), ()): one}
+    assert model.next_dist((2,), ()) is model.default
 
 
 def test_oracle_queries_first_hit_every_backoff_position():
