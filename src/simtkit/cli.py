@@ -126,9 +126,10 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("simulate", help="trace one adaptive decoding session")
     s.add_argument("--model", required=True)
-    s.add_argument("--sentence", help="space-separated source tokens (no EOS)")
-    s.add_argument("--src", help="corpus file to pick a sentence from")
-    s.add_argument("--index", type=int, default=0)
+    source = s.add_mutually_exclusive_group()
+    source.add_argument("--sentence", help="space-separated source tokens (no EOS)")
+    source.add_argument("--src", help="corpus file to pick a sentence from")
+    s.add_argument("--index", type=int, default=0, help="line of --src, from 0")
     s.add_argument("--lambda", dest="lam", type=float, default=PolicyConfig.lam)
     _add_suffix_flags(s)
     _add_loop_flags(s)
@@ -161,7 +162,7 @@ def build_parser() -> _Parser:
     e = sub.add_parser("eval", help="score existing hypothesis files")
     e.add_argument("--hyp", required=True)
     e.add_argument("--ref", required=True)
-    e.add_argument("--src", help="needed for AL")
+    e.add_argument("--src", help="source lengths for the AL of --g-records")
     e.add_argument("--g-records", help="one line per sentence: g(1) g(2) ...")
     e.add_argument("--hyp-align", help="alignments of hypothesis tokens")
     e.add_argument("--seed", type=int, default=0, help="echoed into the output row")
@@ -263,6 +264,8 @@ def _cmd_simulate(args) -> int:
     model = load_model(args.model)
     vocab = model.vocab
     if args.sentence is not None:  # sentence 0 of a one-line corpus
+        if args.index != 0:
+            raise ValueError("--index requires --src")
         lines, index = [args.sentence.split()], 0
         tokens, rng = lines[0], sentence_rng(args.seed, 0)
     elif args.src:
@@ -291,23 +294,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    given = dict(vars(args), suffixes=tuple(args.suffix.split(",")) if args.suffix else (),
+                 suffix_tokens=tuple((args.suffix_tokens or "").split()))
+    spec = SweepSpec(**{f.name: given[f.name] for f in dataclasses.fields(SweepSpec)})
     model = load_model(args.model)
     vocab = model.vocab
     _, pairs = load_parallel_corpus(args.src, args.tgt, vocab=vocab,
                                     align_path=args.align)
-    spec = SweepSpec(
-        policy=args.policy,
-        lambdas=args.lambdas,
-        suffixes=tuple(args.suffix.split(",")) if args.suffix else (),
-        suffix_tokens=tuple(args.suffix_tokens.split()) if args.suffix_tokens else (),
-        ks=args.ks,
-        r_max=args.r_max,
-        initial_prefix=args.initial_prefix,
-        max_target_len=args.max_target_len,
-        seed=args.seed,
-        random_count=args.random_count,
-        random_top_k=args.random_top_k,
-    )
     results = run_sweep(model, vocab, pairs, spec)
     provenance = {"model": args.model, "src": args.src, "tgt": args.tgt}
     _write(sweep_csv_lines(results, spec, provenance), args.out)
@@ -350,6 +343,8 @@ def _line_aligned(path, flag: str, n_lines: int) -> list[str]:
 
 
 def _cmd_eval(args) -> int:
+    if args.src and not args.g_records:
+        raise ValueError("--src requires --g-records")
     hyp_lines = core.read_token_lines(args.hyp)
     ref_lines = core.read_token_lines(args.ref)
     if len(hyp_lines) != len(ref_lines):

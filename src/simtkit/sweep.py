@@ -4,17 +4,11 @@ A sweep evaluates one (lambda or k) x suffix cell at a time over a corpus,
 one sentence after another, and emits one EvalResult row per cell, sorted
 by AL. Each sentence's RNG is ``sentence_rng(seed, sentence index)``, so
 a cell or a sentence re-run on its own agrees byte for byte with the full
-sweep. Three things make a sweep cheaper without changing a result: the probe
-memo answers each distinct query once; a suffix's psfuture cells run in
-ascending lambda, each after the first giving ``simulate_sentence`` each
-sentence's run at the previous lambda as ``after``, whose decision loop takes
-the decisions that run shares with it instead of querying; and one store of
-sentence scores has ``evaluate_run`` score each distinct run once.
-"""
+sweep."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -37,10 +31,19 @@ from .policy import (
 
 DEFAULT_LAMBDA_GRID = (0.02, 0.05, 0.08, 0.1, 0.2, 0.4)
 POLICIES = ("psfuture", "waitk")
+_WAITK_READS = ("policy", "ks", "max_target_len", "seed")
 
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """The cells of one sweep and the settings they run with.
+
+    A wait-k sweep reads ``policy``, ``ks``, ``max_target_len`` and
+    ``seed``; a psfuture sweep reads every setting but ``ks``. A setting
+    the policy does not read must keep its default, else ConfigError names
+    each such setting and its value before any cell runs.
+    """
+
     policy: str                                  # one of POLICIES
     lambdas: tuple[float, ...] = ()
     suffixes: tuple[str, ...] = ("eos",)
@@ -56,8 +59,12 @@ class SweepSpec:
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise ConfigError(f"unknown policy {self.policy!r}")
-        for lam in (PolicyConfig.lam, *self.lambdas):  # the loop settings, for wait-k too
-            self.policy_config(lam)
+        waitk = self.policy == "waitk"
+        unread = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)
+                  if (f.name not in _WAITK_READS if waitk else f.name == "ks")
+                  and getattr(self, f.name) != f.default]
+        if unread:
+            raise ConfigError(f"a {self.policy} sweep does not read " + ", ".join(unread))
         if self.seed < 0:
             raise ConfigError(f"seed={self.seed} must be >= 0")
         if self.policy == "psfuture":
@@ -65,13 +72,16 @@ class SweepSpec:
                 raise ConfigError("psfuture sweep requires a non-empty lambda list")
             if not self.suffixes:
                 raise ConfigError("psfuture sweep requires at least one suffix")
+            for lam in self.lambdas:
+                self.policy_config(lam)
         else:
             if not self.ks:
                 raise ConfigError("waitk sweep requires a non-empty k list")
+            PolicyConfig(max_target_len=self.max_target_len)
             for k in self.ks:  # as wait-k checks k: "k=0 must be >= 1"
                 waitk_g(1, k, 1)
 
-    def policy_config(self, lam: float = PolicyConfig.lam) -> PolicyConfig:
+    def policy_config(self, lam: float) -> PolicyConfig:
         """The loop settings of a psfuture cell at ``lam``."""
         return PolicyConfig(lam=lam, r_max=self.r_max,
                             initial_prefix=self.initial_prefix,
@@ -188,7 +198,7 @@ def _run_cell(model, vocab, pairs, spec, scores, k=None, lam=None, suffix=None,
         policy=policy,
         lambda_or_k=value,
         suffix=suffix_id,
-        r_max=spec.r_max if k is None else None,
+        r_max=spec.r_max,
         seed=spec.seed,
         store=scores,
     )

@@ -8,7 +8,9 @@ or holding a number no model may hold (a NaN or infinite weight, an
 integer beyond float64); corpora have line counts that differ or an empty
 line. Out-of-vocabulary tokens are not an error: they map to UNK. A bad
 train config file, a missing input flag and eval files that do not line up
-exit 2 with their one-line message.
+exit 2 with their one-line message, and so does a sweep given a setting
+its policy does not read. `simulate` given both --sentence and --src
+exits 1 after argparse's usage lines.
 """
 
 import contextlib
@@ -319,12 +321,28 @@ INPUT_ERRORS = [
     ("simulate without sentence or src", ["simulate", "--model", "{out}/in.txt",
                                           "--out", "{out}/o"], "{table}",
      "ValueError: simulate needs --sentence or --src"),
+    ("simulate index without src", ["simulate", "--model", "{out}/in.txt", "--sentence",
+                                    "w0 w1", "--index", "5", "--out", "{out}/o"], "{table}",
+     "ValueError: --index requires --src"),
+    # a sweep rejects the settings its policy does not read
+    ("sweep waitk with psfuture settings",
+     ["sweep", "--policy", "waitk", "--k", "2", "--r-max", "3", "--lambda", "0.5",
+      "--suffix", "oracle", "--model", "{out}/in.txt", "--src", "{src}", "--tgt", "{tgt}",
+      "--out", "{out}/o"], "{table}",
+     "ConfigError: a waitk sweep does not read lambdas=(0.5,), suffixes=('oracle',), r_max=3"),
+    ("sweep psfuture with k",
+     ["sweep", "--policy", "psfuture", "--lambda", "0.1", "--k", "0", "--model",
+      "{out}/in.txt", "--src", "{src}", "--tgt", "{tgt}", "--out", "{out}/o"], "{table}",
+     "ConfigError: a psfuture sweep does not read ks=(0,)"),
     ("eval line counts", ["eval", "--hyp", "{src}", "--ref", "{out}/in.txt",
                           "--out", "{out}/o"], "w0 w1\n",
      "ValueError: hypothesis/reference line counts differ"),
     ("eval g-records without src", ["eval", "--hyp", "{src}", "--ref", "{tgt}",
                                     "--g-records", "{out}/in.txt", "--out", "{out}/o"],
      "1 2\n1 2\n1 2\n", "ValueError: --g-records requires --src for source lengths"),
+    ("eval src without g-records", ["eval", "--hyp", "{src}", "--ref", "{tgt}",
+                                    "--src", "{out}/in.txt", "--out", "{out}/o"],
+     "w0\nw0\nw0\n", "ValueError: --src requires --g-records"),
 ]
 
 
@@ -340,3 +358,18 @@ def test_bad_input_exits_2_with_its_message(files, argv, text, message):
     assert code == 2, stderr
     assert stderr == f"simtkit: {message}\n"
     assert stdout == "" and written == ["in.txt"]
+
+
+def test_simulate_takes_a_sentence_or_a_corpus_not_both(files):
+    paths, docs = files
+    with tempfile.TemporaryDirectory() as out:
+        model = os.path.join(out, "model.json")
+        with open(model, "w", encoding="utf-8") as fh:
+            fh.write(docs["table"])
+        code, stdout, stderr = _run(["simulate", "--model", model, "--sentence", "w0 w1",
+                                     "--src", paths["src"], "--index", "1",
+                                     "--out", os.path.join(out, "o")])
+        written = os.listdir(out)
+    assert (code, stdout, written) == (1, "", ["model.json"])
+    assert stderr.splitlines()[-1] == \
+        "simtkit simulate: error: argument --src: not allowed with argument --sentence"

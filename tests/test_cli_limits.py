@@ -3,7 +3,8 @@ and past their limits, and the flags' defaults against the types that own them.
 
 At its limit a flag's command exits 0. Past it, the command exits 1 or 2
 with one line on stderr and no traceback, and writes no output file. The
-seed, lambda and learning-rate errors also name their setting.
+seed, lambda and learning-rate errors also name their setting. A sweep flag
+that its policy does not read fails at any value, naming its setting.
 """
 
 import contextlib
@@ -86,9 +87,11 @@ def _commands(n_lines, n_ranked, fit_len):
         ("simulate seed", simulate, random, "--seed", 0, -1, 1),
         ("sweep k", sweep, ["--policy", "waitk"], "--k", 1, -1, 1),
     ]
+    rows += [(f"sweep psfuture {flag[2:]}", sweep, psfuture, flag, 1, -1, 1)
+             for flag in ("--r-max", "--initial-prefix")]
     for policy, pol_args in (("psfuture", psfuture), ("waitk", waitk)):
-        rows += [(f"sweep {policy} {flag[2:]}", sweep, pol_args, flag, 1, -1, 1)
-                 for flag in ("--r-max", "--initial-prefix", "--max-target-len")]
+        rows.append((f"sweep {policy} max-target-len", sweep, pol_args, "--max-target-len",
+                     1, -1, 1))
         rows.append((f"sweep {policy} seed", sweep, pol_args, "--seed", 0, -1, 1))
     rows += [
         ("sweep random-count", sweep, psfuture + random, "--random-count", 1, -1, 1),
@@ -197,6 +200,33 @@ def test_infinite_and_negative_lambda_stay_allowed(corpus, argv):
         code, _, stderr = _run([a.format(out=out, **paths) for a in argv])
         assert code == 0, stderr
         assert os.listdir(out) == ["o"]
+
+
+# (policy, flag, a value the other policy accepts, the setting and value named)
+UNREAD_FLAGS = [
+    ("waitk", "--lambda", "0.5", "lambdas=(0.5,)"),
+    ("waitk", "--suffix", "oracle", "suffixes=('oracle',)"),
+    ("waitk", "--suffix-tokens", "w1", "suffix_tokens=('w1',)"),
+    ("waitk", "--r-max", "1", "r_max=1"),
+    ("waitk", "--initial-prefix", "1", "initial_prefix=1"),
+    ("waitk", "--random-count", "1", "random_count=1"),
+    ("waitk", "--random-top-k", "1", "random_top_k=1"),
+    ("psfuture", "--k", "1", "ks=(1,)"),
+]
+
+
+@pytest.mark.parametrize("policy, flag, value, named", UNREAD_FLAGS,
+                         ids=[f"sweep {c[0]} {c[1][2:]}" for c in UNREAD_FLAGS])
+def test_a_sweep_rejects_a_flag_its_policy_does_not_read(corpus, policy, flag, value, named):
+    paths = corpus[0]
+    reads = {"waitk": ["--k", "1"], "psfuture": ["--lambda", "0.2"]}[policy]
+    with tempfile.TemporaryDirectory() as out:
+        code, stdout, stderr = _run(["sweep", "--policy", policy, *reads, "--model",
+                                     paths["model"], "--src", paths["src"], "--tgt",
+                                     paths["tgt"], "--out", f"{out}/o", f"{flag}={value}"])
+        written = os.listdir(out)
+    assert (code, stdout, written) == (2, "", [])
+    assert stderr == f"simtkit: ConfigError: a {policy} sweep does not read {named}\n"
 
 
 def _defaults(cls) -> dict:

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -567,14 +568,44 @@ def test_sweep_spec_validation():
         SweepSpec(policy="waitk", ks=(1, 0))
     with pytest.raises(ConfigError):
         SweepSpec(policy="mystery")
-    # PolicyConfig checks the loop settings of a wait-k sweep too
-    for setting, bad in (("r_max", 0), ("initial_prefix", 0), ("max_target_len", 0),
-                         ("seed", -1)):
+    # a wait-k sweep checks the two settings it shares with psfuture
+    for setting, bad in (("max_target_len", 0), ("seed", -1)):
         with pytest.raises(ConfigError, match=f"{setting}={bad} must be"):
             SweepSpec(policy="waitk", ks=(1,), **{setting: bad})
+    # and rejects the loop settings it does not read, at any value
+    for setting, value in (("r_max", 0), ("r_max", 1), ("initial_prefix", 0),
+                           ("initial_prefix", 1)):
+        with pytest.raises(ConfigError, match=f"^a waitk sweep does not read {setting}="
+                                              f"{value}$"):
+            SweepSpec(policy="waitk", ks=(1,), **{setting: value})
     # every lambda, before the first cell runs
     with pytest.raises(ConfigError, match="lam=nan must not be NaN"):
         SweepSpec(policy="psfuture", lambdas=(0.1, float("nan")))
+
+
+# (policy, setting, a value off its default) for each setting only the other
+# policy reads
+UNREAD_SETTINGS = [("waitk", "lambdas", (0.5,)), ("waitk", "suffixes", ("oracle",)),
+                   ("waitk", "suffix_tokens", ("a",)), ("waitk", "r_max", 3),
+                   ("waitk", "initial_prefix", 1), ("waitk", "random_count", 2),
+                   ("waitk", "random_top_k", 7), ("psfuture", "ks", (0,))]
+
+
+@pytest.mark.parametrize("policy, setting, value", UNREAD_SETTINGS,
+                         ids=[f"{p}-{s}" for p, s, _ in UNREAD_SETTINGS])
+def test_a_sweep_spec_rejects_a_setting_its_policy_does_not_read(policy, setting, value):
+    reads = {"waitk": {"ks": (1,)}, "psfuture": {"lambdas": (0.1,)}}[policy]
+    with pytest.raises(ConfigError, match=rf"^a {policy} sweep does not read "
+                                          rf"{setting}={re.escape(repr(value))}$"):
+        SweepSpec(policy=policy, **reads, **{setting: value})
+
+
+def test_a_sweep_spec_accepts_the_other_policys_settings_at_their_defaults():
+    defaults = {f.name: f.default for f in dataclasses.fields(SweepSpec)
+                if f.default is not dataclasses.MISSING}
+    waitk = SweepSpec(**{**defaults, "policy": "waitk", "ks": (2,)})
+    psfuture = SweepSpec(**{**defaults, "policy": "psfuture", "lambdas": (0.1,)})
+    assert (waitk.r_max, waitk.lambdas, psfuture.ks) == (None, (), ())
 
 
 def test_a_lambda_list_in_any_order_gives_the_rows_of_the_sorted_list():
